@@ -129,10 +129,38 @@ class TreeShape:
 
     @staticmethod
     def parse(text: str) -> "TreeShape":
-        root, rest = _parse_node(text.strip())
-        if rest.strip():
-            raise ShapeError(f"trailing input after shape: {rest!r}")
-        return TreeShape(root)
+        """Read ``(left right)`` nested pairs of leaf indices, without recursion."""
+        open_nodes: List[List[ShapeNode]] = []  # children read so far, per '('
+        pos, end = 0, len(text)
+        while True:
+            while pos < end and text[pos].isspace():
+                pos += 1
+            if pos == end:
+                raise ShapeError("unexpected end of shape")
+            if text[pos] == "(":
+                open_nodes.append([])
+                pos += 1
+                continue
+            start = pos
+            while pos < end and "0" <= text[pos] <= "9":
+                pos += 1
+            if pos == start:
+                raise ShapeError(f"expected leaf index in shape near {text[pos:pos + 10]!r}")
+            node: ShapeNode = int(text[start:pos])
+            while open_nodes:
+                open_nodes[-1].append(node)
+                if len(open_nodes[-1]) < 2:
+                    break
+                while pos < end and text[pos].isspace():
+                    pos += 1
+                if not text.startswith(")", pos):
+                    raise ShapeError("expected ')' in shape")
+                pos += 1
+                node = tuple(open_nodes.pop())
+            else:
+                if text[pos:].strip():
+                    raise ShapeError(f"trailing input after shape: {text[pos:]!r}")
+                return TreeShape(node)
 
     @staticmethod
     def left_comb(k: int) -> "TreeShape":
@@ -184,37 +212,32 @@ class TreeShape:
             yield TreeShape(root)
 
 
+def _postorder(root: ShapeNode) -> List[ShapeNode]:
+    """Every node of a shape, children before parents and left before right."""
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not isinstance(node, int):
+            stack.extend(node)
+    order.reverse()
+    return order
+
+
 def _leaves(node: ShapeNode) -> List[int]:
-    if isinstance(node, int):
-        return [node]
-    left, right = node
-    return _leaves(left) + _leaves(right)
+    return [n for n in _postorder(node) if isinstance(n, int)]
 
 
 def _format_node(node: ShapeNode) -> str:
-    if isinstance(node, int):
-        return str(node)
-    left, right = node
-    return f"({_format_node(left)} {_format_node(right)})"
-
-
-def _parse_node(text: str) -> Tuple[ShapeNode, str]:
-    text = text.lstrip()
-    if not text:
-        raise ShapeError("unexpected end of shape")
-    if text[0] == "(":
-        left, rest = _parse_node(text[1:])
-        right, rest = _parse_node(rest)
-        rest = rest.lstrip()
-        if not rest.startswith(")"):
-            raise ShapeError("expected ')' in shape")
-        return (left, right), rest[1:]
-    digits = ""
-    while text and text[0].isdigit():
-        digits, text = digits + text[0], text[1:]
-    if not digits:
-        raise ShapeError(f"expected leaf index in shape near {text[:10]!r}")
-    return int(digits), text
+    parts: List[str] = []
+    for n in _postorder(node):
+        if isinstance(n, int):
+            parts.append(str(n))
+        else:
+            right = parts.pop()
+            parts[-1] = f"({parts[-1]} {right})"
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +383,17 @@ def tree_gadget(
     if shape.k != cl.k:
         raise ShapeError(f"shape has {shape.k} leaves but the clause has width {cl.k}")
     out: XorItems = []
-
-    def walk(node: ShapeNode, root: bool) -> Term:
+    terms: List[Term] = []  # collector terms of the subtrees completed so far
+    nodes = _postorder(shape.root)
+    for node in nodes:
         if isinstance(node, int):
-            return _literal_term(cl.lits[node - 1])
-        left, right = node
-        left_term = walk(left, False)
-        right_term = walk(right, False)
-        parent: Term = ((anchor, 0) if anchor is not None else (None, 0)) if root \
-            else (alloc.fresh(), 0)
+            terms.append(_literal_term(cl.lits[node - 1]))
+            continue
+        right_term = terms.pop()
+        left_term = terms.pop()
+        parent: Term = (anchor, 0) if node is nodes[-1] else (alloc.fresh(), 0)
         _triangle(out, left_term, right_term, parent)
-        return parent
-
-    walk(shape.root, True)
+        terms.append(parent)
     return out
 
 

@@ -24,7 +24,7 @@ the same way.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -131,6 +131,7 @@ class ProofState:
     residues: Dict[OrClause, Fraction] = field(default_factory=dict)
     offset_total: Fraction = ZERO
     seen_vars: Set[int] = field(default_factory=set)
+    index: Optional[_CycleIndex] = None  # kept in step with ``entries`` when set
 
 
 RawItems = Iterable[Tuple[XorConstraint, Fraction]]
@@ -332,6 +333,8 @@ def _apply_step(state: ProofState, step: ProofStep) -> None:
             remaining = state.entries[premise] - step.weight
             if remaining == 0:
                 del state.entries[premise]
+                if state.index is not None:
+                    state.index.discard(premise)
             else:
                 state.entries[premise] = remaining
     for constraint, multiplier in step.conclusions:
@@ -339,7 +342,12 @@ def _apply_step(state: ProofState, step: ProofStep) -> None:
         if constraint == EMPTY_CLAUSE:
             state.floor += added
             continue
-        state.entries[constraint] = state.entries.get(constraint, ZERO) + added
+        if constraint in state.entries:
+            state.entries[constraint] += added
+        else:
+            state.entries[constraint] = added
+            if state.index is not None:
+                state.index.add(constraint)
         state.seen_vars.update(constraint.vars)
     for cl, multiplier in step.residues:
         state.residues[cl] = state.residues.get(cl, ZERO) + step.weight * multiplier
@@ -400,70 +408,109 @@ def _apply_retranslation(
 
 # ---------------------------------------------------------------------------
 # Odd cycle search
+#
+# Two-variable constraints are edges, unit constraints are edges to a virtual
+# constant node.  A cycle is contractible when its parities XOR to one, which
+# is a closed walk from (v, 0) to (v, 1) in the parity double cover: there,
+# key ``2*v + s`` stands for node v reached along a walk of parity s.
 
 Entries = Mapping[XorConstraint, Fraction]
 CONSTANT_NODE = 0  # virtual endpoint of unit constraints
+Cover = Dict[int, List[int]]  # double-cover key -> ascending neighbour keys
 
 
-def _entries_of(source: Union[X2XProblem, Entries]) -> Entries:
-    return source.entries if isinstance(source, X2XProblem) else source
+def _cover_edges(constraint: XorConstraint):
+    """Double-cover edges of a constraint on (u, v) at parity p: key ``2u + s``
+    links to ``2v + (s ^ p)`` for both signs s, and the reverse."""
+    if constraint.arity == 1:
+        u, v = CONSTANT_NODE, constraint.vars[0]
+    elif constraint.arity == 2:
+        u, v = constraint.vars
+    else:
+        return ()
+    p = constraint.parity
+    return (
+        (2 * u, 2 * v + p),
+        (2 * u + 1, 2 * v + (p ^ 1)),
+        (2 * v, 2 * u + p),
+        (2 * v + 1, 2 * u + (p ^ 1)),
+    )
 
 
-def _opposite_pair(entries: Entries) -> Optional[List[XorConstraint]]:
-    by_vars: Dict[Tuple[int, ...], Set[int]] = {}
-    for constraint in entries:
-        by_vars.setdefault(constraint.vars, set()).add(constraint.parity)
-    for vars_ in sorted(by_vars):
-        if len(by_vars[vars_]) == 2:
-            return [XorConstraint(vars_, 0), XorConstraint(vars_, 1)]
-    return None
+class _CycleIndex:
+    """Search view of an entry multiset, updated as keys appear and vanish.
 
+    ``cover`` is the double cover's adjacency with every neighbour list kept
+    sorted, so the search scans neighbours in ascending (variable, parity)
+    order.  ``parities`` records which parities each variable set carries
+    (bit p for parity p) and ``opposite`` the sets that carry both.
+    """
 
-def _adjacency(entries: Entries) -> Dict[int, List[Tuple[int, int]]]:
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for constraint in sorted(entries):
-        if constraint.arity == 1:
-            u, v = CONSTANT_NODE, constraint.vars[0]
-        elif constraint.arity == 2:
-            u, v = constraint.vars
+    def __init__(self, entries: Iterable[XorConstraint]):
+        self.cover: Cover = {}
+        self.parities: Dict[Tuple[int, ...], int] = {}
+        self.opposite: Set[Tuple[int, ...]] = set()
+        for constraint in entries:
+            self.add(constraint)
+
+    def add(self, constraint: XorConstraint) -> None:
+        mask = self.parities.get(constraint.vars, 0) | (1 << constraint.parity)
+        self.parities[constraint.vars] = mask
+        if mask == 3:
+            self.opposite.add(constraint.vars)
+        for key, nbr in _cover_edges(constraint):
+            insort(self.cover.setdefault(key, []), nbr)
+
+    def discard(self, constraint: XorConstraint) -> None:
+        mask = self.parities[constraint.vars] & ~(1 << constraint.parity)
+        if mask:
+            self.parities[constraint.vars] = mask
         else:
-            continue
-        adj.setdefault(u, []).append((v, constraint.parity))
-        adj.setdefault(v, []).append((u, constraint.parity))
-    for neighbours in adj.values():
-        neighbours.sort()
-    return adj
+            del self.parities[constraint.vars]
+        self.opposite.discard(constraint.vars)
+        for key, nbr in _cover_edges(constraint):
+            nbrs = self.cover[key]
+            del nbrs[bisect_left(nbrs, nbr)]
+            if not nbrs:
+                del self.cover[key]
 
 
 def _bfs_odd_walk(
-    adj: Dict[int, List[Tuple[int, int]]], source: int
+    cover: Cover, source: int, limit: Optional[int] = None
 ) -> Optional[List[Tuple[int, int, int]]]:
     """Shortest odd closed walk through ``source`` as (u, v, parity) edges.
 
-    Runs a breadth-first search on the parity double cover: node (v, s) means
-    v reached along a walk of parity s.
+    Breadth-first search on the double cover from key ``2*source`` to
+    ``2*source + 1``, one level at a time: each level is a list of keys in
+    discovery order and each key's neighbours are scanned in ascending
+    order.  It returns at the first discovery of the goal, so among the
+    shortest walks it returns the one that this order reaches first.
+    Expanding a level can only close walks one edge longer than the level's
+    depth, so with a ``limit`` it returns None before the first level whose
+    walks would have ``limit`` or more edges.
     """
-    start = (source, 0)
-    goal = (source, 1)
-    parents: Dict[Tuple[int, int], Tuple[int, int, int]] = {start: None}
-    queue = deque([start])
-    while queue:
-        node, sign = queue.popleft()
-        for nbr, parity in adj.get(node, ()):
-            nxt = (nbr, sign ^ parity)
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, sign, parity)
-            if nxt == goal:
-                edges = []
-                cur = nxt
-                while parents[cur] is not None:
-                    prev_node, prev_sign, par = parents[cur]
-                    edges.append((prev_node, cur[0], par))
-                    cur = (prev_node, prev_sign)
-                edges.reverse()
-                return edges
-            queue.append(nxt)
+    start, goal = 2 * source, 2 * source + 1
+    parents = {start: start}
+    level = [start]
+    length = 1  # edges in a walk closed while expanding ``level``
+    while level and (limit is None or length < limit):
+        following = []
+        for key in level:
+            for nxt in cover[key]:
+                if nxt in parents:
+                    continue
+                parents[nxt] = key
+                if nxt == goal:
+                    edges = []
+                    while nxt != start:
+                        key = parents[nxt]
+                        edges.append((key >> 1, nxt >> 1, (key ^ nxt) & 1))
+                        nxt = key
+                    edges.reverse()
+                    return edges
+                following.append(nxt)
+        level = following
+        length += 1
     return None
 
 
@@ -475,89 +522,96 @@ def _edge_constraint(u: int, v: int, parity: int) -> XorConstraint:
     return XorConstraint(tuple(sorted((u, v))), parity)
 
 
-def find_odd_cycle(
-    source: Union[X2XProblem, Entries]
-) -> Optional[Tuple[List[XorConstraint], Fraction]]:
-    """Shortest cycle whose parities XOR to one, or None.
-
-    Two-variable constraints are edges, unit constraints are edges to a
-    virtual constant node; an opposite-parity pair is a two-cycle.  The walk
-    starts at the constant node whenever the cycle passes through it, so the
-    cycle's constraint order is directly contractible.  Deterministic:
-    sources and neighbours are scanned in ascending order.
-    """
-    entries = _entries_of(source)
-    pair = _opposite_pair(entries)
-    if pair is not None:
-        return pair, min(entries[pair[0]], entries[pair[1]])
-
-    adj = _adjacency(entries)
-    best: Optional[List[Tuple[int, int, int]]] = None
-    for s in sorted(adj):
-        walk = _bfs_odd_walk(adj, s)
-        if walk is not None and (best is None or len(walk) < len(best)):
-            best = walk
-    if best is None:
-        return None
-    cycle = [_edge_constraint(u, v, p) for u, v, p in best]
-    if len(set(cycle)) != len(cycle):  # globally shortest odd walks are simple
-        return None
-    return cycle, min(entries[c] for c in cycle)
-
-
-def _parity_balanced_triangle(entries: Entries) -> Optional[List[XorConstraint]]:
+def _parity_balanced_triangle(cover: Cover) -> Optional[List[XorConstraint]]:
     """Smallest pure-variable triangle whose parities XOR to zero.
 
     Under compact chaining the conclusion parity flips, so these are the
-    three-cycles that still close with a contradiction step.
+    three-cycles that still close with a contradiction step.  Expects no
+    opposite-parity pair, so each neighbour appears once.
     """
-    edges: Dict[Tuple[int, int], int] = {}
-    for constraint in entries:
-        if constraint.arity == 2:
-            edges[constraint.vars] = constraint.parity
-    neighbours: Dict[int, Set[int]] = {}
-    for u, v in edges:
-        neighbours.setdefault(u, set()).add(v)
-        neighbours.setdefault(v, set()).add(u)
-    for u in sorted(neighbours):
-        for v in sorted(w for w in neighbours[u] if w > u):
-            for w in sorted(x for x in neighbours[u] & neighbours[v] if x > v):
-                p1 = edges[(u, v)]
-                p2 = edges[(v, w)]
-                p3 = edges[(u, w)]
-                if p1 ^ p2 ^ p3 == 0:
+    for key in sorted(cover):
+        u = key >> 1
+        if key & 1 or u == CONSTANT_NODE:
+            continue
+        at_u = {nbr >> 1: nbr & 1 for nbr in cover[key]}
+        for nbr in cover[key]:
+            v, p1 = nbr >> 1, nbr & 1
+            if v <= u:
+                continue
+            for far in cover[2 * v]:
+                w, p2 = far >> 1, far & 1
+                if w > v and w in at_u and p1 ^ p2 ^ at_u[w] == 0:
                     return [
                         XorConstraint((u, v), p1),
                         XorConstraint((v, w), p2),
-                        XorConstraint((u, w), p3),
+                        XorConstraint((u, w), at_u[w]),
                     ]
     return None
 
 
-def _find_compact_cycle(
-    entries: Entries, triangle_quota: int
+def _next_cycle(
+    index: _CycleIndex, compact: bool = False, triangle_quota: int = 0
 ) -> Optional[Tuple[List[XorConstraint], str]]:
-    """Next contractible cycle in compact mode.
+    """Next contractible cycle and its kind, in every saturation mode.
 
-    Priority: opposite-parity pairs, then odd cycles through the constant
-    node (unit-rule chains, which do not flip parities), then quota-limited
-    parity-balanced triangles that exercise the compact chain rules.
+    First the opposite-parity pair with the least variable set (``pair``).
+    Then the shortest odd cycle (``odd``), searched from every node in
+    ascending order; in compact mode only from the constant node
+    (``unit-chain``), since unit-rule chains do not flip parities.  Then, in
+    compact mode while ``triangle_quota`` lasts, the least parity-balanced
+    triangle (``triangle``), which exercises the compact chain rules.
     """
-    pair = _opposite_pair(entries)
-    if pair is not None:
-        return pair, "pair"
-    adj = _adjacency(entries)
-    if CONSTANT_NODE in adj:
-        walk = _bfs_odd_walk(adj, CONSTANT_NODE)
+    if index.opposite:
+        vars_ = min(index.opposite)
+        return [XorConstraint(vars_, 0), XorConstraint(vars_, 1)], "pair"
+    if compact:
+        sources = [CONSTANT_NODE] if 2 * CONSTANT_NODE in index.cover else []
+    else:
+        sources = [key >> 1 for key in sorted(index.cover) if not key & 1]
+    best: Optional[List[Tuple[int, int, int]]] = None
+    for s in sources:
+        # a later source must beat the best walk strictly; with no opposite
+        # pair left no odd walk is shorter than three edges
+        walk = _bfs_odd_walk(index.cover, s, None if best is None else len(best))
         if walk is not None:
-            cycle = [_edge_constraint(u, v, p) for u, v, p in walk]
-            if len(set(cycle)) == len(cycle):
-                return cycle, "unit-chain"
-    if triangle_quota > 0:
-        triangle = _parity_balanced_triangle(entries)
+            best = walk
+            if len(best) == 3:
+                break
+    if best is not None:
+        cycle = [_edge_constraint(u, v, p) for u, v, p in best]
+        if len(set(cycle)) == len(cycle):  # globally shortest odd walks are simple
+            return cycle, "unit-chain" if compact else "odd"
+    if compact and triangle_quota > 0:
+        triangle = _parity_balanced_triangle(index.cover)
         if triangle is not None:
             return triangle, "triangle"
     return None
+
+
+def find_odd_cycle(
+    source: Union[X2XProblem, Entries]
+) -> Optional[Tuple[List[XorConstraint], Fraction]]:
+    """Shortest cycle whose parities XOR to one and its weight, or None.
+
+    Two-variable constraints are edges, unit constraints are edges to a
+    virtual constant node; an opposite-parity pair is a two-cycle and comes
+    first.  Otherwise each node, ascending and the constant node first, is
+    the source of a search for its shortest odd closed walk, and the cycle
+    is the walk of the least source among those with the shortest walk.
+    Two early stops keep exactly that answer: a source's search gives up
+    once it could only find walks as long as the best so far, which the
+    least-source rule would not take, and the scan ends at a three-edge
+    walk, the shortest possible.  So the walk starts at the constant node
+    whenever the cycle passes through it, and the cycle's constraint order
+    is directly contractible.  The compact-mode search for unit chains is
+    the same search from the constant node alone.
+    """
+    entries = source.entries if isinstance(source, X2XProblem) else source
+    found = _next_cycle(_CycleIndex(entries))
+    if found is None:
+        return None
+    cycle = found[0]
+    return cycle, min(entries[c] for c in cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +698,7 @@ def saturate(
         raise Max2XorError(f"unknown mode {mode!r}; pick one of {MODES}")
     provenance = problem_digest(source) if isinstance(source, X2XProblem) else ""
     state = make_state(source)
+    state.index = _CycleIndex(state.entries)
     alloc = VarAllocator(max(state.seen_vars, default=0) + 1)
     steps: List[ProofStep] = []
     round_stats: List[Tuple[int, int]] = []
@@ -660,18 +715,12 @@ def saturate(
         used = 0
         quota = compact_triangle_quota
         while True:
-            if mode == "compact":
-                found = _find_compact_cycle(state.entries, quota)
-                if found is None:
-                    break
-                cycle, kind = found
-                if kind == "triangle":
-                    quota -= 1
-            else:
-                found = find_odd_cycle(state.entries)
-                if found is None:
-                    break
-                cycle = found[0]
+            found = _next_cycle(state.index, mode == "compact", quota)
+            if found is None:
+                break
+            cycle, kind = found
+            if kind == "triangle":
+                quota -= 1
             if used + len(cycle) - 1 > budget:
                 break
             used += _contract_cycle(state, cycle, mode == "compact", alloc, steps)

@@ -63,15 +63,20 @@ class WcnfInstance:
         return sum((w for _, w in self.clauses), ZERO)
 
 
+def _int(token: str, what: str, line_no: int) -> int:
+    """``int(token)``, or a ParseError naming ``what`` and the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", line_no) from None
+
+
 def _parse_clause_lits(tokens: List[str], var_count: int, line_no: int) -> OrClause:
     if not tokens or tokens[-1] != "0":
         raise ParseError("clause line must end with 0", line_no)
     lits = []
     for tok in tokens[:-1]:
-        try:
-            lit = int(tok)
-        except ValueError as exc:
-            raise ParseError(f"bad literal {tok!r}", line_no) from exc
+        lit = _int(tok, "literal", line_no)
         if lit == 0:
             raise ParseError("literal 0 before end of clause", line_no)
         if abs(lit) > var_count:
@@ -120,10 +125,7 @@ def parse_cnf(text: str) -> WcnfInstance:
         if var_count is None:
             raise ParseError("clause before problem header", line_no)
         if weighted:
-            try:
-                weight = int(tokens[0])
-            except ValueError as exc:
-                raise ParseError(f"bad clause weight {tokens[0]!r}", line_no) from exc
+            weight = _int(tokens[0], "clause weight", line_no)
             if weight <= 0:
                 raise ParseError(f"clause weight must be positive, got {weight}", line_no)
             if top is not None and weight >= top:
@@ -207,10 +209,7 @@ def parse_x2x(text: str) -> X2XProblem:
                 raise ParseError("duplicate header", line_no)
             if len(tokens) != 3 or tokens[1] != "x2x":
                 raise ParseError(f"bad header {line!r}", line_no)
-            try:
-                var_count = int(tokens[2])
-            except ValueError as exc:
-                raise ParseError(f"bad variable count {tokens[2]!r}", line_no) from exc
+            var_count = _int(tokens[2], "variable count", line_no)
             continue
         if var_count is None:
             raise ParseError("entry before header", line_no)
@@ -290,7 +289,7 @@ def parse_maxcut(text: str) -> CutGraph:
         tokens = line.split()
         if tokens[0] == "c":
             if len(tokens) == 3 and tokens[1] in ("anchor0", "anchor1") and graph is not None:
-                anchor = int(tokens[2])
+                anchor = _int(tokens[2], "anchor node", line_no)
                 if tokens[1] == "anchor0":
                     graph.anchor_zero = anchor
                 else:
@@ -301,16 +300,18 @@ def parse_maxcut(text: str) -> CutGraph:
                 raise ParseError("duplicate header", line_no)
             if len(tokens) != 4 or tokens[1] != "cut":
                 raise ParseError(f"bad header {line!r}", line_no)
-            graph = CutGraph(node_count=int(tokens[2]))
-            declared_edges = int(tokens[3])
+            graph = CutGraph(node_count=_int(tokens[2], "node count", line_no))
+            declared_edges = _int(tokens[3], "edge count", line_no)
             continue
         if tokens[0] == "e":
             if graph is None:
                 raise ParseError("edge before header", line_no)
             if len(tokens) != 4:
                 raise ParseError("edge line is 'e <u> <v> <num>/<den>'", line_no)
+            u = _int(tokens[1], "edge endpoint", line_no)
+            v = _int(tokens[2], "edge endpoint", line_no)
             try:
-                graph.add_edge(int(tokens[1]), int(tokens[2]), parse_rational(tokens[3]))
+                graph.add_edge(u, v, parse_rational(tokens[3]))
             except Max2XorError as exc:
                 raise ParseError(str(exc), line_no) from exc
             continue
@@ -408,7 +409,7 @@ def parse_proof(text: str):
         rest = tokens[4:]
         while rest:
             if rest[0] == "y" and len(rest) >= 2:
-                fresh_var = int(rest[1])
+                fresh_var = _int(rest[1], "fresh variable", line_no)
             elif rest[0] == "o" and len(rest) >= 2:
                 offset = parse_rational(rest[1])
             else:

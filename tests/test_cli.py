@@ -177,6 +177,17 @@ def test_compile_tree_strategy_with_shapes_file(tmp_path):
     assert len(problem.entries) == 12  # 3(k-1)
 
 
+def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
+    problem = tmp_path / "p.x2x"
+    problem.write_text(EXAMPLE1_X2X)
+    proof = tmp_path / "p.x2xproof"
+    proof.write_text("s contra w 1 y z | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n")
+    code, _ = invoke("check", str(problem), str(proof))
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: line 1:") and "Traceback" not in err
+
+
 def test_usage_and_parse_errors(tmp_path):
     code, _ = invoke("no-such-command")
     assert code == EXIT_ERROR

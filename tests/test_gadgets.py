@@ -284,6 +284,17 @@ def test_shape_parse_format_round_trip():
         TreeShape.parse("(1 2))")
 
 
+def test_deep_shape_parse_count_format():
+    k = 2001
+    text = "(" * (k - 1) + "1" + "".join(f" {i})" for i in range(2, k + 1))
+    shape = TreeShape.parse(text)
+    assert shape.k == k
+    assert shape.format() == text
+    assert TreeShape.left_comb(k).format() == text
+    items = tree_gadget(clause(*range(1, k + 1)), shape, None, VarAllocator(k + 1))
+    assert len(items) == 3 * (k - 1)
+
+
 def test_shape_builders():
     assert TreeShape.left_comb(4).format() == "(((1 2) 3) 4)"
     assert TreeShape.balanced(4).format() == "((1 2) (3 4))"

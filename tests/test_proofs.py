@@ -1,19 +1,24 @@
 """Resolution rules, the saturation engine, and the independent checker."""
 
+import hashlib
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from max2xor.core import EMPTY_CLAUSE, XorConstraint, clause, normalize, xor
+from max2xor.core import EMPTY_CLAUSE, XorConstraint, clause, format_rational, normalize, xor
 from max2xor.gadgets import VarAllocator, compile_maxsat
 from max2xor.oracle import brute_opt_cost, brute_opt_cost_items
 from max2xor.proofs import (
     PatternError,
     ProvenanceError,
     RuleApplicationError,
+    _apply_step,
+    _CycleIndex,
+    _next_cycle,
     apply_compact_rule,
     apply_rule,
     bound_to_original,
@@ -203,6 +208,155 @@ def test_find_odd_cycle_on_problem_object():
     assert len(cycle) == 3
 
 
+# Reference search: every source, every search to full depth, the adjacency
+# rebuilt from the sorted entries on each call.  The engine's early-stopping
+# search must return exactly what this one returns.
+
+
+def _reference_opposite_pair(entries):
+    by_vars = {}
+    for constraint in entries:
+        by_vars.setdefault(constraint.vars, set()).add(constraint.parity)
+    for vars_ in sorted(by_vars):
+        if len(by_vars[vars_]) == 2:
+            return [XorConstraint(vars_, 0), XorConstraint(vars_, 1)]
+    return None
+
+
+def _reference_adjacency(entries):
+    adj = {}
+    for constraint in sorted(entries):
+        if constraint.arity == 1:
+            u, v = 0, constraint.vars[0]
+        else:
+            u, v = constraint.vars
+        adj.setdefault(u, []).append((v, constraint.parity))
+        adj.setdefault(v, []).append((u, constraint.parity))
+    for neighbours in adj.values():
+        neighbours.sort()
+    return adj
+
+
+def _reference_bfs_odd_walk(adj, source):
+    start, goal = (source, 0), (source, 1)
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node, sign = queue.popleft()
+        for nbr, parity in adj.get(node, ()):
+            nxt = (nbr, sign ^ parity)
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, sign, parity)
+            if nxt == goal:
+                edges = []
+                cur = nxt
+                while parents[cur] is not None:
+                    prev_node, prev_sign, par = parents[cur]
+                    edges.append((prev_node, cur[0], par))
+                    cur = (prev_node, prev_sign)
+                edges.reverse()
+                return edges
+            queue.append(nxt)
+    return None
+
+
+def _reference_walk_cycle(walk):
+    cycle = [
+        XorConstraint((v,), p) if u == 0 else XorConstraint((u,), p) if v == 0
+        else XorConstraint(tuple(sorted((u, v))), p)
+        for u, v, p in walk
+    ]
+    return cycle if len(set(cycle)) == len(cycle) else None
+
+
+def _reference_find_odd_cycle(entries):
+    pair = _reference_opposite_pair(entries)
+    if pair is not None:
+        return pair, min(entries[pair[0]], entries[pair[1]])
+    adj = _reference_adjacency(entries)
+    best = None
+    for s in sorted(adj):
+        walk = _reference_bfs_odd_walk(adj, s)
+        if walk is not None and (best is None or len(walk) < len(best)):
+            best = walk
+    if best is None:
+        return None
+    cycle = _reference_walk_cycle(best)
+    if cycle is None:
+        return None
+    return cycle, min(entries[c] for c in cycle)
+
+
+def _reference_compact_cycle(entries, triangle_quota):
+    pair = _reference_opposite_pair(entries)
+    if pair is not None:
+        return pair, "pair"
+    adj = _reference_adjacency(entries)
+    if 0 in adj:
+        walk = _reference_bfs_odd_walk(adj, 0)
+        if walk is not None:
+            cycle = _reference_walk_cycle(walk)
+            if cycle is not None:
+                return cycle, "unit-chain"
+    if triangle_quota > 0:
+        edges = {c.vars: c.parity for c in entries if c.arity == 2}
+        neighbours = {}
+        for u, v in edges:
+            neighbours.setdefault(u, set()).add(v)
+            neighbours.setdefault(v, set()).add(u)
+        for u in sorted(neighbours):
+            for v in sorted(w for w in neighbours[u] if w > u):
+                for w in sorted(x for x in neighbours[u] & neighbours[v] if x > v):
+                    p1, p2, p3 = edges[(u, v)], edges[(v, w)], edges[(u, w)]
+                    if p1 ^ p2 ^ p3 == 0:
+                        cycle = [xor([u, v], p1), xor([v, w], p2), xor([u, w], p3)]
+                        return cycle, "triangle"
+    return None
+
+
+def _random_entry_sets(seed, count):
+    """Units and pairs over 3-12 variables, with and without opposite pairs
+    and odd cycles."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 12)
+        allow_pairs = rng.random() < 0.3
+        hidden = [0] + [rng.randint(0, 1) for _ in range(n)] if rng.random() < 0.2 else None
+        entries = {}
+        for _ in range(rng.randint(1, 3 * n)):
+            vs = rng.sample(range(1, n + 1), rng.choice([1, 2, 2, 2]))
+            if hidden is not None:
+                parity = sum(hidden[v] for v in vs) % 2
+            else:
+                parity = rng.randint(0, 1)
+            constraint = xor(vs, parity)
+            if not allow_pairs and XorConstraint(constraint.vars, parity ^ 1) in entries:
+                continue
+            entries[constraint] = F(rng.randint(1, 6), rng.choice([1, 2]))
+        yield entries
+
+
+def test_find_odd_cycle_matches_full_search():
+    outcomes = set()
+    for entries in _random_entry_sets(2024, 300):
+        expected = _reference_find_odd_cycle(entries)
+        assert find_odd_cycle(entries) == expected, sorted(entries)
+        outcomes.add(None if expected is None else len(expected[0]))
+    assert {None, 2, 3}.issubset(outcomes) and max(o or 0 for o in outcomes) > 3
+
+
+def test_compact_finder_matches_full_search():
+    kinds = set()
+    for entries in _random_entry_sets(77, 300):
+        for quota in (0, 1):
+            expected = _reference_compact_cycle(entries, quota)
+            found = _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=quota)
+            assert found == expected, (sorted(entries), quota)
+            kinds.add(None if expected is None else expected[1])
+    assert kinds == {None, "pair", "unit-chain", "triangle"}
+
+
 # ---------------------------------------------------------------------------
 # Saturation
 
@@ -315,6 +469,64 @@ def test_compact_mode_exercises_compact_rules():
         floor=summary.residual.floor,
     )
     assert summary.bound_m + rest.cost == cost_in
+
+
+def _random_wcnf(seed, n_vars, n_clauses, width):
+    rng = random.Random(seed)
+    lines = [f"p wcnf {n_vars} {n_clauses}"]
+    for _ in range(n_clauses):
+        lits = " ".join(
+            str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, n_vars + 1), width)
+        )
+        lines.append(f"{rng.randint(1, 3)} {lits} 0")
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 prefixes of "<bound_m>\n<proof log>" from the full-depth,
+# every-source cycle search; the early-stopping search must reproduce them.
+PROOF_LOG_DIGESTS = {
+    ((1, 5, 21, 3), "discard"): "23fdac285653d354",
+    ((1, 5, 21, 3), "retranslate"): "4b4af5ea195c009b",
+    ((1, 5, 21, 3), "compact"): "f0207c68e038353b",
+    ((2, 6, 14, 3), "discard"): "5fef5038539c6649",
+    ((2, 6, 14, 3), "retranslate"): "1de44c8d5db4b605",
+    ((2, 6, 14, 3), "compact"): "b5128d2ea8f99b84",
+    ((3, 5, 20, 2), "discard"): "3ceb06e57fe10430",
+    ((3, 5, 20, 2), "retranslate"): "86fd407e4ebe75b5",
+    ((3, 5, 20, 2), "compact"): "aae88019a420ecb9",
+    ((4, 6, 24, 2), "discard"): "a890484969b49b36",
+    ((4, 6, 24, 2), "retranslate"): "4f53dce7cceff8bf",
+    ((4, 6, 24, 2), "compact"): "a890484969b49b36",
+    ((5, 4, 17, 3), "discard"): "f6265c6049fdc1b1",
+    ((5, 4, 17, 3), "retranslate"): "78833b0d31d66a75",
+    ((5, 4, 17, 3), "compact"): "f5161c6eefb9a20b",
+}
+
+
+def _assert_index_matches(state):
+    rebuilt = _CycleIndex(state.entries)
+    assert state.index.cover == rebuilt.cover
+    assert state.index.parities == rebuilt.parities
+    assert state.index.opposite == rebuilt.opposite
+
+
+@pytest.mark.parametrize("case,mode", sorted(PROOF_LOG_DIGESTS), ids=str)
+def test_saturate_proof_logs_are_unchanged(case, mode):
+    problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
+    summary, steps = saturate(problem, mode=mode)
+    text = f"{format_rational(summary.bound_m)}\n{emit_proof(steps)}"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PROOF_LOG_DIGESTS[(case, mode)]
+
+    # replay with an incrementally kept index; it must equal a rebuilt one
+    # after every contracted cycle and every retranslation
+    state = make_state(problem)
+    state.index = _CycleIndex(state.entries)
+    for step in steps:
+        _apply_step(state, step)
+        if step.rule == "contra" or step.rule.startswith("xlate"):
+            _assert_index_matches(state)
+    _assert_index_matches(state)
+    assert state.floor - state.offset_total == summary.bound_m
 
 
 # ---------------------------------------------------------------------------

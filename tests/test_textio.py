@@ -176,6 +176,29 @@ def test_maxcut_rejects_self_loop():
         graph.add_edge(1, 1, F(1))
 
 
+MALFORMED_CUT_AND_PROOF = [
+    (parse_maxcut, "p cut x 1\n", 1),
+    (parse_maxcut, "p cut 2 y\n", 1),
+    (parse_maxcut, "p cut 2 1\nc anchor0 q\ne 1 2 1/1\n", 2),
+    (parse_maxcut, "p cut 2 1\nc anchor1 1.5\ne 1 2 1/1\n", 2),
+    (parse_maxcut, "p cut 2 1\n\ne a 2 1/1\n", 3),
+    (parse_maxcut, "p cut 2 1\ne 1 b 1/1\n", 2),
+    (parse_proof, "s contra w 1 y z | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 1),
+    (parse_proof, "c first\ns compact00 w 1/1 y 4x | 1/1 1 2 = 0; 1/1 1 3 = 0 | |\n", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "parser,text,line",
+    MALFORMED_CUT_AND_PROOF,
+    ids=["nodes", "edges", "anchor0", "anchor1", "edge-u", "edge-v", "fresh", "fresh-line-2"],
+)
+def test_malformed_integer_tokens_raise_parse_error(parser, text, line):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.line == line
+
+
 # ---------------------------------------------------------------------------
 # .x2xproof
 
