@@ -129,29 +129,28 @@ def _cmd_bound(args, out) -> int:
     text = _read(args.input)
     mode, rounds = _parse_mode(args.mode)
     output = args.output or str(Path(args.input).with_suffix(".x2xproof"))
+    report = None
     if _sniff_format(text) == "cnf":
-        instance = parse_cnf(text)
         shapes = _load_shapes(args.shapes) if args.shapes else None
-        report = compile_maxsat(instance, strategy=args.strategy, shapes=shapes)
-        summary, steps = saturate(report.problem, mode=mode, max_rounds=rounds)
-        verdict = bound_to_original(summary, report)
-        Path(output).write_text(emit_proof(steps))
-        print(f"wrote {output}", file=out)
-        print(f"m {format_rational(summary.bound_m)}", file=out)
-        print(f"shift {format_rational(report.shift)}", file=out)
-        if args.verbose:
-            for round_no, (budget, used) in enumerate(summary.round_stats, start=1):
-                print(f"round {round_no}: {used} steps over {budget} entries", file=out)
-        print(verdict.message, file=out)
-        return EXIT_UNSAT if verdict.unsat_proven else EXIT_OK
-    problem = parse_x2x(text)
+        report = compile_maxsat(parse_cnf(text), strategy=args.strategy, shapes=shapes)
+        problem = report.problem
+    else:
+        problem = parse_x2x(text)
     summary, steps = saturate(problem, mode=mode, max_rounds=rounds)
     Path(output).write_text(emit_proof(steps))
     print(f"wrote {output}", file=out)
     print(f"m {format_rational(summary.bound_m)}", file=out)
-    lower = max(Fraction(0), summary.bound_m)
-    print(f"UNKNOWN lb={format_rational(lower)}", file=out)
-    return EXIT_OK
+    if report is not None:
+        print(f"shift {format_rational(report.shift)}", file=out)
+    if args.verbose:
+        for round_no, (budget, used) in enumerate(summary.round_stats, start=1):
+            print(f"round {round_no}: {used} steps over {budget} entries", file=out)
+    if report is None:
+        print(f"UNKNOWN lb={format_rational(max(Fraction(0), summary.bound_m))}", file=out)
+        return EXIT_OK
+    verdict = bound_to_original(summary, report)
+    print(verdict.message, file=out)
+    return EXIT_UNSAT if verdict.unsat_proven else EXIT_OK
 
 
 def _cmd_check(args, out) -> int:

@@ -103,12 +103,13 @@ class VarAllocator:
 ShapeNode = Union[int, tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeShape:
     """Binary tree over clause positions 1..k, leaves in left-to-right order.
 
     The degenerate left comb reproduces the sequential translation; any other
-    shape groups literals in parallel.
+    shape groups literals in parallel.  Equality, hashing and ``repr`` walk
+    the tree without recursion, so deep shapes are safe.
     """
 
     root: ShapeNode
@@ -119,6 +120,21 @@ class TreeShape:
             raise ShapeError(f"leaves must be 1..k in order, got {leaves}")
         if len(leaves) < 2:
             raise ShapeError("a shape needs at least two leaves")
+
+    def _key(self) -> Tuple[int, ...]:
+        """Leaves in post-order with 0 for each internal node; fixes the tree."""
+        return tuple(n if isinstance(n, int) else 0 for n in _postorder(self.root))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeShape):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TreeShape(root={_format_node(self.root, ', ')})"
 
     @property
     def k(self) -> int:
@@ -229,14 +245,14 @@ def _leaves(node: ShapeNode) -> List[int]:
     return [n for n in _postorder(node) if isinstance(n, int)]
 
 
-def _format_node(node: ShapeNode) -> str:
+def _format_node(node: ShapeNode, sep: str = " ") -> str:
     parts: List[str] = []
     for n in _postorder(node):
         if isinstance(n, int):
             parts.append(str(n))
         else:
             right = parts.pop()
-            parts[-1] = f"({parts[-1]} {right})"
+            parts[-1] = f"({parts[-1]}{sep}{right})"
     return parts[0]
 
 
@@ -358,17 +374,9 @@ def sequential_gadget(
     to substitute the constant one for it (the form the compiler uses).
     Emits 3(k-1) constraints over k-2 fresh variables.
     """
-    k = cl.k
-    if k < 2:
-        raise ArityError(f"sequential translation needs width >= 2, got {k}")
-    anchor_term: Term = (anchor, 0) if anchor is not None else (None, 0)
-    out: XorItems = []
-    prev = _literal_term(cl.lits[0])
-    for i in range(1, k):
-        parent = anchor_term if i == k - 1 else (alloc.fresh(), 0)
-        _triangle(out, prev, _literal_term(cl.lits[i]), parent)
-        prev = parent
-    return out
+    if cl.k < 2:
+        raise ArityError(f"sequential translation needs width >= 2, got {cl.k}")
+    return tree_gadget(cl, TreeShape.left_comb(cl.k), anchor, alloc)
 
 
 def tree_gadget(

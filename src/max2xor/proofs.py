@@ -190,13 +190,18 @@ def build_step(
     fresh_var: Optional[int] = None,
 ) -> ProofStep:
     """Construct the canonical step for a rule instance; raises on bad patterns."""
+    if rule not in KNOWN_RULES:
+        raise PatternError(f"unknown rule id {rule!r}")
     weight = check_weight(weight)
+    if rule in _XLATE_RULES:
+        return _xlate_step(rule, premises, weight, fresh_var)
+    if len(premises) != 2:
+        raise PatternError(f"{rule} takes two premises")
+    p1, p2 = premises
+    if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
+        raise PatternError(f"{rule} premises must be parity constraints")
+
     if rule in _CHAIN_RULES or rule in _COMPACT_RULES:
-        if len(premises) != 2:
-            raise PatternError(f"{rule} takes two premises")
-        p1, p2 = premises
-        if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
-            raise PatternError(f"{rule} premises must be parity constraints")
         if p1.arity != 2 or p2.arity != 2:
             raise PatternError(f"{rule} premises must have two variables: {p1} / {p2}")
         x = _shared_variable(p1, p2)
@@ -231,11 +236,6 @@ def build_step(
         )
 
     if rule in _UNIT_RULES:
-        if len(premises) != 2:
-            raise PatternError(f"{rule} takes two premises")
-        p1, p2 = premises
-        if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
-            raise PatternError(f"{rule} premises must be parity constraints")
         par1, par2, template = _UNIT_RULES[rule]
         if p1.arity != 1 or p2.arity != 2:
             raise PatternError(f"{rule} premises must be a unit and a pair: {p1} / {p2}")
@@ -249,42 +249,39 @@ def build_step(
         residues = ((_residue_clause(template, (x, a)), TWO),)
         return ProofStep(rule, weight, (p1, p2), ((conclusion, Fraction(1)),), residues)
 
-    if rule == "contra":
-        if len(premises) != 2:
-            raise PatternError("contra takes two premises")
-        p1, p2 = premises
-        if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
-            raise PatternError("contra premises must be parity constraints")
-        if p1.vars != p2.vars or (p1.parity, p2.parity) != (0, 1):
-            raise PatternError(
-                f"contra premises must be the same variables at parities 0/1: {p1} / {p2}"
-            )
-        return ProofStep(rule, weight, (p1, p2), ((EMPTY_CLAUSE, Fraction(1)),))
-
-    if rule in _XLATE_RULES:
-        if len(premises) != 1 or not isinstance(premises[0], OrClause):
-            raise PatternError(f"{rule} takes one residue clause premise")
-        cl = premises[0]
-        if rule == "xlate2":
-            if cl.k != 2:
-                raise PatternError(f"xlate2 needs a binary clause, got width {cl.k}")
-            if fresh_var is not None:
-                raise PatternError("xlate2 takes no fresh variable")
-            conclusions = tuple((c, w) for c, w in binary_gadget(Fraction(1), cl))
-            return ProofStep(rule, weight, (cl,), conclusions, (), offset=weight * HALF)
-        if cl.k != 3:
-            raise PatternError(f"xlate3 needs a ternary clause, got width {cl.k}")
-        if fresh_var is None or fresh_var <= 0:
-            raise PatternError("xlate3 needs a fresh variable")
-        if fresh_var in cl.variables():
-            raise PatternError(f"fresh variable {fresh_var} occurs in the clause")
-        items = sequential_gadget(cl, None, VarAllocator(fresh_var))
-        conclusions = tuple((c, w) for c, w in items)
-        return ProofStep(
-            rule, weight, (cl,), conclusions, (), offset=weight, fresh_var=fresh_var
+    # the one rule left is contra
+    if p1.vars != p2.vars or (p1.parity, p2.parity) != (0, 1):
+        raise PatternError(
+            f"contra premises must be the same variables at parities 0/1: {p1} / {p2}"
         )
+    return ProofStep(rule, weight, (p1, p2), ((EMPTY_CLAUSE, Fraction(1)),))
 
-    raise PatternError(f"unknown rule id {rule!r}")
+
+def _xlate_step(
+    rule: str, premises: Tuple[object, ...], weight: Fraction, fresh_var: Optional[int]
+) -> ProofStep:
+    """Retranslation of one residue clause through its clause translation."""
+    if len(premises) != 1 or not isinstance(premises[0], OrClause):
+        raise PatternError(f"{rule} takes one residue clause premise")
+    cl = premises[0]
+    if rule == "xlate2":
+        if cl.k != 2:
+            raise PatternError(f"xlate2 needs a binary clause, got width {cl.k}")
+        if fresh_var is not None:
+            raise PatternError("xlate2 takes no fresh variable")
+        conclusions = tuple((c, w) for c, w in binary_gadget(Fraction(1), cl))
+        return ProofStep(rule, weight, (cl,), conclusions, (), offset=weight * HALF)
+    if cl.k != 3:
+        raise PatternError(f"xlate3 needs a ternary clause, got width {cl.k}")
+    if fresh_var is None or fresh_var <= 0:
+        raise PatternError("xlate3 needs a fresh variable")
+    if fresh_var in cl.variables():
+        raise PatternError(f"fresh variable {fresh_var} occurs in the clause")
+    items = sequential_gadget(cl, None, VarAllocator(fresh_var))
+    conclusions = tuple((c, w) for c, w in items)
+    return ProofStep(
+        rule, weight, (cl,), conclusions, (), offset=weight, fresh_var=fresh_var
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +312,14 @@ def _check_weights(state: ProofState, step: ProofStep) -> None:
         )
 
 
-def _check_freshness(state: ProofState, step: ProofStep) -> None:
+def _replay_step(state: ProofState, step: ProofStep) -> None:
+    """Apply a built step after checking its weights and its fresh variable.
+
+    The engine and the checker both change a state only through here.
+    """
+    _check_weights(state, step)
     if step.fresh_var is not None and step.fresh_var in state.seen_vars:
         raise PatternError(f"variable {step.fresh_var} is not fresh")
-
-
-def _apply_step(state: ProofState, step: ProofStep) -> None:
     if step.rule in _XLATE_RULES:
         cl = step.premises[0]
         remaining = state.residues[cl] - step.weight
@@ -359,51 +358,24 @@ def _apply_step(state: ProofState, step: ProofStep) -> None:
 def apply_rule(
     state: ProofState,
     rule: str,
-    premise_keys: Tuple[XorConstraint, XorConstraint],
+    premises: Tuple[object, ...],
     weight: Fraction,
+    alloc: Optional[VarAllocator] = None,
 ) -> Tuple[ProofState, ProofStep]:
-    """Fire one plain rule against the state; returns the mutated state and step."""
-    if rule in _COMPACT_RULES or rule in _XLATE_RULES:
-        raise PatternError(f"{rule} needs apply_compact_rule / retranslation")
-    step = build_step(rule, tuple(premise_keys), weight)
-    _check_weights(state, step)
-    _apply_step(state, step)
-    return state, step
+    """Fire one rule against the state; returns the mutated state and step.
 
-
-def apply_compact_rule(
-    state: ProofState,
-    rule: str,
-    premise_keys: Tuple[XorConstraint, XorConstraint],
-    weight: Fraction,
-    alloc: VarAllocator,
-) -> Tuple[ProofState, ProofStep]:
-    """Fire a compact rule, drawing the fresh variable from the allocator."""
-    if rule not in _COMPACT_RULES:
-        raise PatternError(f"{rule} is not a compact rule")
-    step = build_step(rule, tuple(premise_keys), weight, fresh_var=alloc.next_id)
-    _check_weights(state, step)
-    _check_freshness(state, step)
-    alloc.fresh()
-    _apply_step(state, step)
-    return state, step
-
-
-def _apply_retranslation(
-    state: ProofState, cl: OrClause, alloc: VarAllocator
-) -> ProofStep:
-    weight = state.residues[cl]
-    if cl.k == 2:
-        step = build_step("xlate2", (cl,), weight)
-    elif cl.k == 3:
-        step = build_step("xlate3", (cl,), weight, fresh_var=alloc.next_id)
-        _check_freshness(state, step)
+    Rules that introduce a variable (the compact rules and ``xlate3``) draw
+    it from ``alloc``, which only advances when the step applies.
+    """
+    takes_fresh = rule in _COMPACT_RULES or rule == "xlate3"
+    if takes_fresh and alloc is None:
+        raise PatternError(f"{rule} needs a variable allocator")
+    fresh_var = alloc.next_id if takes_fresh else None
+    step = build_step(rule, tuple(premises), weight, fresh_var)
+    _replay_step(state, step)
+    if takes_fresh:
         alloc.fresh()
-    else:
-        raise PatternError(f"no retranslation for residue width {cl.k}")
-    _check_weights(state, step)
-    _apply_step(state, step)
-    return step
+    return state, step
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +614,27 @@ class ProofSummary:
 MODES = ("discard", "retranslate", "compact")
 
 
+def _summarize(
+    state: ProofState,
+    var_count: int,
+    rounds: int,
+    steps: int,
+    round_stats: Tuple[Tuple[int, int], ...] = (),
+    provenance: str = "",
+) -> ProofSummary:
+    return ProofSummary(
+        bound_m=state.floor - state.offset_total,
+        residual=normalize(state.entries.items(), var_count=var_count),
+        residue_clauses=tuple(sorted(state.residues.items())),
+        rounds=rounds,
+        steps=steps,
+        floor_total=state.floor,
+        offset_total=state.offset_total,
+        round_stats=round_stats,
+        provenance=provenance,
+    )
+
+
 def _combine(acc: XorConstraint, edge: XorConstraint, compact: bool):
     """Rule id and ordered premises for one contraction step."""
     if acc.arity == 1:
@@ -665,10 +658,7 @@ def _contract_cycle(
     for edge in cycle[1:-1]:
         rule, premises = _combine(acc, edge, compact)
         weight = min(state.entries[premises[0]], state.entries[premises[1]])
-        if rule.startswith("compact"):
-            _, step = apply_compact_rule(state, rule, premises, weight, alloc)
-        else:
-            _, step = apply_rule(state, rule, premises, weight)
+        _, step = apply_rule(state, rule, premises, weight, alloc)
         steps.append(step)
         acc = step.conclusions[0][0]
     closing = cycle[-1]
@@ -710,7 +700,10 @@ def saturate(
         if rounds > 1:
             for cl, _ in sorted(state.residues.items()):
                 if cl.k in (2, 3):
-                    steps.append(_apply_retranslation(state, cl, alloc))
+                    _, step = apply_rule(
+                        state, f"xlate{cl.k}", (cl,), state.residues[cl], alloc
+                    )
+                    steps.append(step)
         budget = len(state.entries)
         used = 0
         quota = compact_triangle_quota
@@ -730,17 +723,8 @@ def saturate(
         if not any(cl.k in (2, 3) for cl in state.residues):
             break
 
-    residual = normalize(state.entries.items(), var_count=alloc.next_id - 1)
-    summary = ProofSummary(
-        bound_m=state.floor - state.offset_total,
-        residual=residual,
-        residue_clauses=tuple(sorted(state.residues.items())),
-        rounds=rounds,
-        steps=len(steps),
-        floor_total=state.floor,
-        offset_total=state.offset_total,
-        round_stats=tuple(round_stats),
-        provenance=provenance,
+    summary = _summarize(
+        state, alloc.next_id - 1, rounds, len(steps), tuple(round_stats), provenance
     )
     return summary, steps
 
@@ -836,41 +820,29 @@ def check_proof(
     """Replay a proof against the input, re-verifying every step.
 
     Each step is checked for rule-pattern fidelity (the step must equal the
-    canonical instance the rule produces from its premises), weight protocol
-    (the applied weight equals the smaller premise weight), freshness of
-    introduced variables, and exact unsatisfied-weight preservation by truth
-    table.  Accepts, or pinpoints the first failing step.
+    canonical instance the rule produces from its premises) and exact
+    unsatisfied-weight preservation by truth table, then applied through the
+    engine's own replay routine, which checks the weight protocol (the
+    applied weight equals the smaller premise weight) and the freshness of
+    introduced variables.  Accepts, or pinpoints the first failing step.
     """
     state = make_state(source)
     for index, step in enumerate(steps):
         try:
-            if step.rule not in KNOWN_RULES:
-                raise PatternError(f"unknown rule id {step.rule!r}")
             expected = build_step(step.rule, step.premises, step.weight, step.fresh_var)
             if expected != step:
                 raise PatternError(
                     f"step is not the canonical {step.rule} instance of its premises"
                 )
-            _check_weights(state, step)
-            _check_freshness(state, step)
             table_reason = _truth_table_reason(step)
             if table_reason is not None:
                 raise PatternError(f"truth table: {table_reason}")
-            _apply_step(state, step)
+            _replay_step(state, step)
         except Max2XorError as exc:
             return CheckVerdict(accepted=False, failing_step=index, reason=str(exc))
 
-    residual = normalize(
-        state.entries.items(), var_count=max(state.seen_vars, default=0)
-    )
-    derived = ProofSummary(
-        bound_m=state.floor - state.offset_total,
-        residual=residual,
-        residue_clauses=tuple(sorted(state.residues.items())),
-        rounds=_derived_rounds(steps),
-        steps=len(steps),
-        floor_total=state.floor,
-        offset_total=state.offset_total,
+    derived = _summarize(
+        state, max(state.seen_vars, default=0), _derived_rounds(steps), len(steps)
     )
     if claimed is not None:
         if claimed.bound_m != derived.bound_m:

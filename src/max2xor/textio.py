@@ -71,6 +71,14 @@ def _int(token: str, what: str, line_no: int) -> int:
         raise ParseError(f"bad {what} {token!r}", line_no) from None
 
 
+def _rational(token: str, what: str, line_no: int) -> Fraction:
+    """``parse_rational(token)``, or a ParseError naming ``what`` and the line."""
+    try:
+        return parse_rational(token)
+    except ParseError:
+        raise ParseError(f"bad {what} {token!r}", line_no) from None
+
+
 def _parse_clause_lits(tokens: List[str], var_count: int, line_no: int) -> OrClause:
     if not tokens or tokens[-1] != "0":
         raise ParseError("clause line must end with 0", line_no)
@@ -171,10 +179,7 @@ def _parse_entry(tokens: List[str], line_no: int) -> Tuple[XorConstraint, Fracti
     eq = tokens.index("=")
     if eq != len(tokens) - 2:
         raise ParseError("entry line must end with '= <parity>'", line_no)
-    try:
-        weight = parse_rational(tokens[0])
-    except ParseError:
-        raise ParseError(f"bad weight {tokens[0]!r}", line_no)
+    weight = _rational(tokens[0], "weight", line_no)
     if weight <= 0:
         raise ParseError(f"weight must be positive, got {tokens[0]}", line_no)
     if tokens[-1] not in ("0", "1"):
@@ -218,7 +223,7 @@ def parse_x2x(text: str) -> X2XProblem:
                 raise ParseError("duplicate floor line", line_no)
             if len(tokens) != 2:
                 raise ParseError("floor line is 'f <num>/<den>'", line_no)
-            floor = parse_rational(tokens[1])
+            floor = _rational(tokens[1], "floor", line_no)
             if floor < 0:
                 raise ParseError("floor must be non-negative", line_no)
             saw_floor = True
@@ -310,8 +315,9 @@ def parse_maxcut(text: str) -> CutGraph:
                 raise ParseError("edge line is 'e <u> <v> <num>/<den>'", line_no)
             u = _int(tokens[1], "edge endpoint", line_no)
             v = _int(tokens[2], "edge endpoint", line_no)
+            weight = _rational(tokens[3], "edge weight", line_no)
             try:
-                graph.add_edge(u, v, parse_rational(tokens[3]))
+                graph.add_edge(u, v, weight)
             except Max2XorError as exc:
                 raise ParseError(str(exc), line_no) from exc
             continue
@@ -349,7 +355,7 @@ def _parse_weighted_clause(text: str, line_no: int) -> Tuple[OrClause, Fraction]
     tokens = text.split()
     if len(tokens) < 2 or tokens[-1] != "0":
         raise ParseError(f"clause item must end with 0: {text!r}", line_no)
-    weight = parse_rational(tokens[0])
+    weight = _rational(tokens[0], "weight", line_no)
     if weight <= 0:
         raise ParseError(f"weight must be positive, got {tokens[0]}", line_no)
     try:
@@ -401,7 +407,7 @@ def parse_proof(text: str):
         rule = tokens[1]
         if rule not in KNOWN_RULES:
             raise ParseError(f"unknown rule id {rule!r}", line_no)
-        weight = parse_rational(tokens[3])
+        weight = _rational(tokens[3], "applied weight", line_no)
         if weight <= 0:
             raise ParseError(f"applied weight must be positive, got {tokens[3]}", line_no)
         fresh_var: Optional[int] = None
@@ -411,7 +417,7 @@ def parse_proof(text: str):
             if rest[0] == "y" and len(rest) >= 2:
                 fresh_var = _int(rest[1], "fresh variable", line_no)
             elif rest[0] == "o" and len(rest) >= 2:
-                offset = parse_rational(rest[1])
+                offset = _rational(rest[1], "offset", line_no)
             else:
                 raise ParseError(f"bad step head token {rest[0]!r}", line_no)
             rest = rest[2:]

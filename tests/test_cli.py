@@ -80,6 +80,32 @@ def test_bound_then_check_closed_loop(tmp_path):
         assert output.startswith("ACCEPTED")
 
 
+def test_bound_verbose_prints_rounds_for_x2x_and_cnf(tmp_path):
+    x2x = tmp_path / "tri.x2x"
+    x2x.write_text("p x2x 3\n1/1 1 2 = 1\n1/1 2 3 = 1\n1/1 1 3 = 1\n")
+    code, output = invoke("bound", str(x2x), "-v", "--mode", "retranslate=2")
+    assert code == EXIT_OK
+    assert output.splitlines() == [
+        f"wrote {tmp_path / 'tri.x2xproof'}",
+        "m 1/1",
+        "round 1: 2 steps over 3 entries",
+        "round 2: 8 steps over 11 entries",
+        "UNKNOWN lb=1/1",
+    ]
+
+    cnf = tmp_path / "four.cnf"
+    cnf.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+    code, output = invoke("bound", str(cnf), "-v")
+    assert code == EXIT_UNSAT
+    assert output.splitlines() == [
+        f"wrote {tmp_path / 'four.x2xproof'}",
+        "m 3/1",
+        "shift 2/1",
+        "round 1: 0 steps over 0 entries",
+        "UNSAT lb=1/1",
+    ]
+
+
 def test_check_rejects_corrupted_proof(tmp_path):
     x2x = tmp_path / "tri.x2x"
     problem = normalize(

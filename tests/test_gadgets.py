@@ -291,7 +291,11 @@ def test_deep_shape_parse_count_format():
     assert shape.k == k
     assert shape.format() == text
     assert TreeShape.left_comb(k).format() == text
-    items = tree_gadget(clause(*range(1, k + 1)), shape, None, VarAllocator(k + 1))
+    assert shape == TreeShape.left_comb(k)
+    assert shape != TreeShape.balanced(k)
+    assert hash(shape) == hash(TreeShape.left_comb(k))
+    assert repr(shape) == f"TreeShape(root={text.replace(' ', ', ')})"
+    items =tree_gadget(clause(*range(1, k + 1)), shape, None, VarAllocator(k + 1))
     assert len(items) == 3 * (k - 1)
 
 

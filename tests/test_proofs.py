@@ -16,10 +16,9 @@ from max2xor.proofs import (
     PatternError,
     ProvenanceError,
     RuleApplicationError,
-    _apply_step,
     _CycleIndex,
     _next_cycle,
-    apply_compact_rule,
+    _replay_step,
     apply_rule,
     bound_to_original,
     build_step,
@@ -151,13 +150,13 @@ def test_apply_rule_pattern_errors():
     with pytest.raises(PatternError):
         apply_rule(state, "chain01", (xor([1, 2], 0), xor([1, 2], 0)), F(1))  # parities
     with pytest.raises(PatternError):
-        apply_rule(state, "compact00", (xor([1, 2], 0), xor([3, 4], 0)), F(1))  # wrong api
+        apply_rule(state, "compact00", (xor([1, 2], 0), xor([3, 4], 0)), F(1))  # no allocator
 
 
 def test_apply_compact_rule_scaling():
     state = make_state([(xor([1, 2], 0), H), (xor([1, 3], 0), H)])
     alloc = VarAllocator(4)
-    _, step = apply_compact_rule(state, "compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, alloc)
+    _, step = apply_rule(state, "compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, alloc)
     assert step.offset == H
     assert state.offset_total == H
     assert state.entries[xor([1, 4], 0)] == F(1)  # 2 * 1/2
@@ -522,7 +521,7 @@ def test_saturate_proof_logs_are_unchanged(case, mode):
     state = make_state(problem)
     state.index = _CycleIndex(state.entries)
     for step in steps:
-        _apply_step(state, step)
+        _replay_step(state, step)
         if step.rule == "contra" or step.rule.startswith("xlate"):
             _assert_index_matches(state)
     _assert_index_matches(state)
@@ -577,13 +576,28 @@ def test_checker_rejects_tampered_residue_weight():
 def test_checker_rejects_tampered_fields_everywhere():
     rng = random.Random(901)
     tampered_total = 0
-    for _ in range(20):
+    for trial in range(60):
         problem = _random_problem(rng)
-        summary, steps = saturate(problem)
-        if not steps:
-            continue
+        mode = ("discard", "retranslate", "compact")[trial % 3]
+        summary, steps = saturate(problem, mode=mode, max_rounds=2)
         for index, step in enumerate(steps):
-            mutations = [replace(step, weight=step.weight * 2)]
+            mutations = [
+                replace(step, weight=step.weight * 2),
+                replace(step, weight=step.weight / 2),
+                replace(step, offset=step.offset + 1),
+                replace(step, fresh_var=1),  # variable 1 occurs in every input
+            ]
+            if step.fresh_var is not None:
+                # the canonical step on an input variable outside its premises,
+                # which only the freshness check rejects
+                premise_vars = set()
+                for p in step.premises:
+                    premise_vars.update(p.vars if isinstance(p, XorConstraint) else p.variables())
+                stale = set(range(1, problem.var_count + 1)) - premise_vars
+                if stale:
+                    mutations.append(
+                        build_step(step.rule, step.premises, step.weight, fresh_var=min(stale))
+                    )
             constraint, mult = step.conclusions[0]
             if constraint.vars:
                 flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
@@ -604,6 +618,7 @@ def test_checker_rejects_tampered_fields_everywhere():
                 broken[index] = mutant
                 verdict = check_proof(problem, broken, summary)
                 assert not verdict.accepted
+                assert verdict.failing_step == index, (mode, index, mutant, verdict.reason)
                 tampered_total += 1
     assert tampered_total > 50
 

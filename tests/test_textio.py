@@ -199,6 +199,32 @@ def test_malformed_integer_tokens_raise_parse_error(parser, text, line):
     assert err.value.line == line
 
 
+MALFORMED_RATIONALS = [
+    (parse_proof, "c x\ns contra w x | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 2, "applied weight 'x'"),
+    (parse_proof, "s xlate2 w 1/1 o 1/x | 1/1 1 2 0 | 1/2 1 = 1 |\n", 1, "offset '1/x'"),
+    (parse_proof, "s xlate2 w 1/1 o 1/2 | q 1 2 0 | 1/2 1 = 1 |\n", 1, "weight 'q'"),
+    (parse_proof, "c x\n\ns unit00 w 1/1 | 1/1 1 = 0; 1/1 1 2 = 0 | 1/1 2 = 0 | 2/0 -1 2 0\n",
+     3, "weight '2/0'"),
+    (parse_proof, "s contra w 1/1 | 1/y 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 1, "weight '1/y'"),
+    (parse_x2x, "p x2x 2\nf one\n", 2, "floor 'one'"),
+    (parse_x2x, "p x2x 2\nc\n1/1 1 = 0\nz 2 = 1\n", 4, "weight 'z'"),
+    (parse_maxcut, "p cut 2 1\ne 1 2 1/0\n", 2, "edge weight '1/0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "parser,text,line,message",
+    MALFORMED_RATIONALS,
+    ids=["step-weight", "offset", "clause-item", "residue", "premise", "floor", "entry",
+         "edge-weight"],
+)
+def test_malformed_rational_tokens_raise_parse_error(parser, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: bad {message}"
+
+
 # ---------------------------------------------------------------------------
 # .x2xproof
 
