@@ -5,10 +5,23 @@ assignment enumeration, and certification of claimed translation parameters
 per the (alpha, beta) definition by exhaustive search over auxiliary-variable
 extensions.
 
-Enumeration is vectorized with numpy over *scaled integers* (weights are
-multiplied by the lcm of their denominators), so every comparison is exact.
-If the scaled totals would not fit in int64 the same code runs on
-arbitrary-precision Python ints via an object-dtype array.
+Both run on one kernel, ``_unsat_chunks``, which enumerates assignments in
+chunks of ``2**_CHUNK_BITS`` and yields each chunk's unsatisfied weight:
+
+* weights are multiplied by the lcm of their denominators, so every sum and
+  comparison is exact integer arithmetic;
+* a variable's bit column is a uint8 array built once per call; a variable
+  whose bit is fixed inside a chunk reads a shared all-zeros or all-ones
+  column instead;
+* items are grouped by scaled weight: each group counts its unsatisfied
+  items in uint8 (uint32 from 255 items on), followed by one multiply-add
+  per distinct weight into an int32 accumulator, int64 when the scaled
+  total needs it, or Python ints in an object array beyond 2**62.
+
+Memory per call is bounded by the chunk, not by ``2**n``.  Assignment index
+i holds the variable values most significant first, so chunks arrive in
+ascending lexicographic order; the first argmin within a chunk and a strict
+``<`` across chunks therefore keep the lexicographically least witness.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from .core import (
 )
 
 MAX_ORACLE_VARS = 26
-_CHUNK_BITS = 20
+_CHUNK_BITS = 16
 
 WeightedItem = Tuple[object, Fraction]  # (constraint, weight)
 
@@ -70,59 +83,90 @@ def _scale_factor(weights: Sequence[Fraction]) -> int:
     return scale
 
 
-def _bit_columns(indices: np.ndarray, positions: Dict[int, int], nvars: int):
-    """Value of each variable for each assignment index.
+def _scaled(
+    items: Sequence[WeightedItem], *extra: Fraction
+) -> Tuple[List[Fraction], int, List[int]]:
+    """Exact item weights, the lcm of their and ``extra``'s denominators, and
+    the item weights times that scale."""
+    weights = [Fraction(w) for _, w in items]
+    scale = _scale_factor(weights + list(extra))
+    return weights, scale, [int(w * scale) for w in weights]
 
-    Assignment index i encodes the lexicographic tuple of values in variable
-    order: the first variable is the most significant bit, so ascending index
-    order is ascending lexicographic order.
+
+def _guard(nvars: int, max_vars: int) -> None:
+    if nvars > max_vars:
+        raise SizeGuardError(f"{nvars} variables exceed the enumeration guard of {max_vars}")
+
+
+def _dtype_for(bound: int):
+    """Narrowest accumulator holding every partial sum up to ``bound`` in size."""
+    if bound < 2**31:
+        return np.int32
+    return np.int64 if bound < 2**62 else object
+
+
+def _unsat_chunks(items: Sequence[WeightedItem], scaled: Sequence[int], order: Sequence[int]):
+    """Yield ``(start, unsat)`` chunk by chunk over every assignment of ``order``.
+
+    ``unsat[i]`` is the scaled unsatisfied weight of assignment index
+    ``start + i``, whose bits, most significant first, are the values of the
+    variables in ``order``.
     """
+    n = len(order)
+    bits = min(n, _CHUNK_BITS)
+    size = 1 << bits
+    shift_of = {v: n - 1 - j for j, v in enumerate(order)}
 
-    def column(var: int) -> np.ndarray:
-        shift = nvars - 1 - positions[var]
-        return ((indices >> shift) & 1).astype(indices.dtype)
-
-    return column
-
-
-def _unsat_values(
-    items: Sequence[WeightedItem],
-    scaled: Sequence[int],
-    indices: np.ndarray,
-    positions: Dict[int, int],
-    nvars: int,
-) -> np.ndarray:
-    col = _bit_columns(indices, positions, nvars)
-    acc = np.zeros(indices.shape, dtype=indices.dtype)
+    # An item is unsatisfied when the AND (clause) or the XOR (parity) of its
+    # terms is 1; a term (var, flip) reads the variable's bit XOR flip.
+    constant = 0
+    groups: Dict[int, list] = {}
     for (constraint, _), w in zip(items, scaled):
         if isinstance(constraint, OrClause):
-            if not constraint.lits:
-                acc += w
-                continue
-            falsified = np.ones(indices.shape, dtype=indices.dtype)
-            for lit in constraint.lits:
-                bit = col(abs(lit))
-                falsified &= bit ^ 1 if lit > 0 else bit
-            acc += w * falsified
+            op, terms = np.bitwise_and, [(abs(l), int(l > 0)) for l in constraint.lits]
+            always_unsat = True  # the empty clause
         else:
-            if not constraint.vars:
-                if constraint.parity == 1:
-                    acc += w
-                continue
-            par = col(constraint.vars[0])
-            for v in constraint.vars[1:]:
-                par = par ^ col(v)
-            acc += w * (par ^ constraint.parity)
-    return acc
+            p = constraint.parity
+            op, terms = np.bitwise_xor, [(v, 0 if j else p) for j, v in enumerate(constraint.vars)]
+            always_unsat = p == 1
+        if terms:
+            groups.setdefault(w, []).append((op, terms))
+        elif always_unsat:
+            constant += w
+    dtype = _dtype_for(sum(abs(w) for w in scaled))
+
+    low = np.arange(size, dtype=np.int64)
+    fixed = (np.zeros(size, dtype=np.uint8), np.ones(size, dtype=np.uint8))
+    columns: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def column(var: int, flip: int, start: int) -> np.ndarray:
+        shift = shift_of[var]
+        if shift >= bits:  # the bit is the same across the chunk
+            return fixed[((start >> shift) & 1) ^ flip]
+        key = (var, flip)
+        if key not in columns:
+            columns[key] = (((low >> shift) & 1) ^ flip).astype(np.uint8)
+        return columns[key]
+
+    buffer = np.empty(size, dtype=np.uint8)
+    for start in range(0, 1 << n, size):
+        acc = np.full(size, constant, dtype=dtype)
+        for w, group in groups.items():
+            count = np.zeros(size, dtype=np.uint8 if len(group) < 255 else np.uint32)
+            for op, terms in group:
+                value = column(*terms[0], start)
+                for term in terms[1:]:
+                    value = op(value, column(*term, start), out=buffer)
+                count += value
+            if w != 1 or dtype is object:
+                count = count.astype(dtype) * w
+            acc += count
+        yield start, acc
 
 
 def _index_to_assignment(index: int, order: Sequence[int]) -> Dict[int, int]:
     n = len(order)
     return {v: (index >> (n - 1 - j)) & 1 for j, v in enumerate(order)}
-
-
-def _dtype_for(total_scaled: int):
-    return np.int64 if total_scaled < 2**62 else object
 
 
 def brute_opt_cost_items(
@@ -138,29 +182,13 @@ def brute_opt_cost_items(
     same assignment, so the two witnesses coincide.
     """
     order = _collect_vars(items)
-    n = len(order)
-    if n > max_vars:
-        raise SizeGuardError(f"{n} variables exceed the enumeration guard of {max_vars}")
+    _guard(len(order), max_vars)
     floor = Fraction(floor)
-    weights = [Fraction(w) for _, w in items]
-    total_weight = sum(weights, ZERO)
-    if n == 0:
-        unsat = sum((w for (c, _), w in zip(items, weights) if not _constant_satisfied(c)), ZERO)
-        return OracleResult(total_weight - unsat, floor + unsat, {}, {})
-
-    scale = _scale_factor(weights)
-    scaled = [int(w * scale) for w in weights]
-    dtype = _dtype_for(sum(scaled) + 1)
-    positions = {v: j for j, v in enumerate(order)}
+    weights, scale, scaled = _scaled(items)
 
     best_unsat: Optional[int] = None
     best_index = 0
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        indices = np.arange(start, stop, dtype=np.int64)
-        if dtype is object:
-            indices = indices.astype(object)
-        unsat = _unsat_values(items, scaled, indices, positions, n)
+    for start, unsat in _unsat_chunks(items, scaled, order):
         j = int(np.argmin(unsat))
         value = int(unsat[j])
         if best_unsat is None or value < best_unsat:
@@ -170,17 +198,11 @@ def brute_opt_cost_items(
     min_unsat = Fraction(best_unsat, scale)
     witness = _index_to_assignment(best_index, order)
     return OracleResult(
-        opt=total_weight - min_unsat,
+        opt=sum(weights, ZERO) - min_unsat,
         cost=floor + min_unsat,
         opt_witness=dict(witness),
         cost_witness=dict(witness),
     )
-
-
-def _constant_satisfied(constraint) -> bool:
-    if isinstance(constraint, OrClause):
-        return bool(constraint.lits)  # only the empty clause is variable-free
-    return constraint.parity == 0
 
 
 def unsat_weight_profile(
@@ -196,61 +218,22 @@ def unsat_weight_profile(
     between a raw multiset and a rewritten form of it.
     """
     order = list(var_order)
-    n = len(order)
-    if n > max_vars:
-        raise SizeGuardError(f"{n} variables exceed the enumeration guard of {max_vars}")
-    for constraint, _ in items:
-        if any(v not in set(order) for v in _item_vars(constraint)):
-            raise SizeGuardError("var_order must cover every variable of the items")
+    _guard(len(order), max_vars)
+    known = set(order)
+    if any(v not in known for constraint, _ in items for v in _item_vars(constraint)):
+        raise SizeGuardError("var_order must cover every variable of the items")
     floor = Fraction(floor)
-    weights = [Fraction(w) for _, w in items]
-    scale = _scale_factor(weights + [floor])
-    scaled = [int(w * scale) for w in weights]
-    dtype = _dtype_for(sum(scaled) + int(floor * scale) + 1)
-    positions = {v: j for j, v in enumerate(order)}
-    indices = np.arange(1 << n, dtype=np.int64)
-    if dtype is object:
-        indices = indices.astype(object)
-    unsat = _unsat_values(items, scaled, indices, positions, n)
+    _, scale, scaled = _scaled(items, floor)
     base = int(floor * scale)
-    return [Fraction(int(value) + base, scale) for value in unsat]
+    return [
+        Fraction(value + base, scale)
+        for _, unsat in _unsat_chunks(items, scaled, order)
+        for value in unsat.tolist()
+    ]
 
 
 def brute_opt_cost(problem: X2XProblem, max_vars: int = MAX_ORACLE_VARS) -> OracleResult:
     return brute_opt_cost_items(problem.sorted_entries(), floor=problem.floor, max_vars=max_vars)
-
-
-def _satisfied_matrix_term(
-    constraint,
-    w: int,
-    src_col,
-    aux_col,
-    src_shape: Tuple[int, ...],
-    aux_shape: Tuple[int, ...],
-    src_vars: set,
-):
-    """Weighted satisfaction of one constraint as an outer (source x aux) term."""
-    if isinstance(constraint, OrClause):
-        sat_src = np.zeros(src_shape, dtype=np.int64)
-        sat_aux = np.zeros(aux_shape, dtype=np.int64)
-        for lit in constraint.lits:
-            v = abs(lit)
-            if v in src_vars:
-                bit = src_col(v)
-                sat_src |= bit ^ 1 if lit < 0 else bit
-            else:
-                bit = aux_col(v)
-                sat_aux |= bit ^ 1 if lit < 0 else bit
-        return w * (sat_src[:, None] | sat_aux[None, :])
-    par_src = np.zeros(src_shape, dtype=np.int64)
-    par_aux = np.zeros(aux_shape, dtype=np.int64)
-    for v in constraint.vars:
-        if v in src_vars:
-            par_src = par_src ^ src_col(v)
-        else:
-            par_aux = par_aux ^ aux_col(v)
-    diff = par_src[:, None] ^ par_aux[None, :] ^ constraint.parity
-    return w * (diff ^ 1)
 
 
 def verify_gadget(
@@ -269,7 +252,7 @@ def verify_gadget(
     """
     alpha = Fraction(claimed.alpha)
     beta = Fraction(claimed.beta)
-    weights = [Fraction(w) for _, w in translation]
+    weights, scale, scaled = _scaled(translation, alpha)
     total = sum(weights, ZERO)
     if total != beta:
         return GadgetVerdict(
@@ -283,36 +266,25 @@ def verify_gadget(
     src_set = set(src_order)
     aux_order = [v for v in _collect_vars(translation) if v not in src_set]
     ns, na = len(src_order), len(aux_order)
-    if ns + na > max_vars:
-        raise SizeGuardError(f"{ns + na} variables exceed the enumeration guard of {max_vars}")
+    _guard(ns + na, max_vars)
 
-    scale = _scale_factor(weights + [alpha])
-    scaled = [int(w * scale) for w in weights]
+    # Source bits are the most significant, so each source row is a run of
+    # 2**na consecutive indices: whole rows inside a chunk, or one row over
+    # several chunks.  Keep the least unsatisfied weight of every row.
+    least: List[Optional[int]] = [None] * (1 << ns)
+    for start, unsat in _unsat_chunks(translation, scaled, src_order + aux_order):
+        row_mins = unsat.reshape(-1, min(1 << na, unsat.size)).min(axis=1)
+        for row, value in enumerate(row_mins.tolist(), start >> na):
+            if least[row] is None or value < least[row]:
+                least[row] = value
+
+    total_scaled = sum(scaled)
     alpha_scaled = int(alpha * scale)
-    dtype = _dtype_for((sum(scaled) + abs(alpha_scaled) + scale) * 2)
-
-    src_idx = np.arange(1 << ns, dtype=np.int64)
-    aux_idx = np.arange(1 << max(na, 0), dtype=np.int64)
-    if dtype is object:
-        src_idx = src_idx.astype(object)
-        aux_idx = aux_idx.astype(object)
-    src_pos = {v: j for j, v in enumerate(src_order)}
-    aux_pos = {v: j for j, v in enumerate(aux_order)}
-    src_col = _bit_columns(src_idx, src_pos, ns)
-    aux_col = _bit_columns(aux_idx, aux_pos, na)
-
-    sat_matrix = np.zeros((1 << ns, 1 << max(na, 0)), dtype=dtype)
-    for (constraint, _), w in zip(translation, scaled):
-        sat_matrix += _satisfied_matrix_term(
-            constraint, w, src_col, aux_col, src_idx.shape, aux_idx.shape, src_set
-        )
-    best = sat_matrix.max(axis=1)
-
-    for i in range(1 << ns):
+    for i, unsat in enumerate(least):
         assignment = _index_to_assignment(i, src_order)
         target = alpha_scaled if source.satisfied_by(assignment) else alpha_scaled - scale
-        if int(best[i]) != target:
-            achieved = Fraction(int(best[i]), scale)
+        if total_scaled - unsat != target:
+            achieved = Fraction(total_scaled - unsat, scale)
             return GadgetVerdict(
                 certified=False,
                 alpha=alpha,

@@ -95,6 +95,9 @@ _COMPACT_RULES = {
 
 _XLATE_RULES = ("xlate2", "xlate3")
 
+# Rules that introduce a variable; every other rule takes no fresh variable.
+_FRESH_RULES = frozenset(list(_COMPACT_RULES) + ["xlate3"])
+
 KNOWN_RULES = frozenset(
     list(_CHAIN_RULES) + list(_UNIT_RULES) + list(_COMPACT_RULES) + ["contra"] + list(_XLATE_RULES)
 )
@@ -192,6 +195,8 @@ def build_step(
     """Construct the canonical step for a rule instance; raises on bad patterns."""
     if rule not in KNOWN_RULES:
         raise PatternError(f"unknown rule id {rule!r}")
+    if fresh_var is not None and rule not in _FRESH_RULES:
+        raise PatternError(f"{rule} takes no fresh variable")
     weight = check_weight(weight)
     if rule in _XLATE_RULES:
         return _xlate_step(rule, premises, weight, fresh_var)
@@ -210,8 +215,6 @@ def build_step(
             par1, par2, templates = _CHAIN_RULES[rule]
             if (p1.parity, p2.parity) != (par1, par2):
                 raise PatternError(f"{rule} premises must have parities {par1}/{par2}")
-            if fresh_var is not None:
-                raise PatternError(f"{rule} takes no fresh variable")
             conclusion = XorConstraint(tuple(sorted((a, b))), par1 ^ par2)
             residues = tuple(
                 (_residue_clause(signs, (x, a, b)), TWO) for signs in templates
@@ -267,8 +270,6 @@ def _xlate_step(
     if rule == "xlate2":
         if cl.k != 2:
             raise PatternError(f"xlate2 needs a binary clause, got width {cl.k}")
-        if fresh_var is not None:
-            raise PatternError("xlate2 takes no fresh variable")
         conclusions = tuple((c, w) for c, w in binary_gadget(Fraction(1), cl))
         return ProofStep(rule, weight, (cl,), conclusions, (), offset=weight * HALF)
     if cl.k != 3:
@@ -367,7 +368,7 @@ def apply_rule(
     Rules that introduce a variable (the compact rules and ``xlate3``) draw
     it from ``alloc``, which only advances when the step applies.
     """
-    takes_fresh = rule in _COMPACT_RULES or rule == "xlate3"
+    takes_fresh = rule in _FRESH_RULES
     if takes_fresh and alloc is None:
         raise PatternError(f"{rule} needs a variable allocator")
     fresh_var = alloc.next_id if takes_fresh else None

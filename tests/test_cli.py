@@ -4,8 +4,10 @@ import io
 import random
 from fractions import Fraction
 
+from max2xor import cli
 from max2xor.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, EXIT_UNSAT, run
 from max2xor.core import xor, normalize
+from max2xor.gadgets import GadgetParams
 from max2xor.textio import emit_x2x, parse_x2x
 
 F = Fraction
@@ -161,6 +163,38 @@ def test_oracle_guard_env(tmp_path, monkeypatch):
     monkeypatch.setenv("X2X_MAX_ORACLE_VARS", "99")  # may not raise the guard
     code, _ = invoke("oracle", str(x2x))
     assert code == EXIT_OK
+
+
+def test_oracle_and_rejected_gadget_verify_output_is_pinned(tmp_path, monkeypatch):
+    # the exact lines the enumeration oracle's commands print
+    x2x = tmp_path / "b.x2x"
+    x2x.write_text(
+        "p x2x 4\nf 1/3\n1/2 1 2 = 1\n1/2 2 3 = 1\n1/2 1 3 = 1\n3/4 4 = 0\n1/3 2 4 = 0\n"
+    )
+    cases = [
+        (EXAMPLE1_WCNF, "a.wcnf", "opt 15/1\ncost 1/1\nwitness 1=0 2=1 3=1\n"),
+        (EXAMPLE1_X2X, "a.x2x", "opt 13/2\ncost 17/2\nwitness 1=0 2=1 3=1\n"),
+        (None, "b.x2x", "opt 25/12\ncost 5/6\nwitness 1=0 2=0 3=1 4=0\n"),
+    ]
+    for text, name, expected in cases:
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        assert invoke("oracle", str(tmp_path / name)) == (EXIT_OK, expected)
+
+    shipped = cli.clause_params
+    monkeypatch.setattr(
+        cli, "clause_params", lambda k: GadgetParams(shipped(k).alpha - F(1, 2), shipped(k).beta)
+    )
+    assert invoke("gadget-verify", "--family", "t0", "--k", "5") == (
+        EXIT_ERROR,
+        "rejected: source assignment {1: 0, 2: 0, 3: 0, 4: 0, 5: 0} reaches 3, expected 5/2\n"
+        "counterexample 1=0 2=0 3=0 4=0 5=0 achieves 3/1\n",
+    )
+    assert invoke("gadget-verify", "--family", "t", "--k", "4", "--shape", "balanced") == (
+        EXIT_ERROR,
+        "rejected: source assignment {1: 0, 2: 0, 3: 0, 4: 0} reaches 2, expected 3/2\n"
+        "counterexample 1=0 2=0 3=0 4=0 achieves 2/1\n",
+    )
 
 
 def test_gadget_verify_families():

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+from max2xor import oracle
 from max2xor.core import SizeGuardError, clause, evaluate, normalize, xor
 from max2xor.oracle import (
     brute_opt_cost,
     brute_opt_cost_items,
+    unsat_weight_profile,
     verify_gadget,
 )
 from max2xor.gadgets import GadgetParams
@@ -200,3 +204,187 @@ def test_verify_gadget_with_aux_extension():
     # clause (x) translated as {<1> x=1} certifies (1, 1)
     verdict = verify_gadget(clause(1), [(xor([1], 1), F(1))], GadgetParams(F(1), F(1), 0))
     assert verdict.certified
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against a pure Fraction enumeration
+
+
+def _vars_of(constraint):
+    return constraint.variables() if hasattr(constraint, "lits") else constraint.vars
+
+
+def _reference_profile(items, order, fixed=None):
+    """(assignment, unsatisfied weight) for every assignment of ``order``,
+    lexicographically, with the variables of ``fixed`` held at its values."""
+    for values in product((0, 1), repeat=len(order)):
+        assignment = dict(zip(order, values))
+        if fixed:
+            assignment.update(fixed)
+        yield assignment, sum(
+            (w for c, w in items if not c.satisfied_by(assignment)), F(0)
+        )
+
+
+def _reference_brute(items, floor):
+    order = sorted({v for c, _ in items for v in _vars_of(c)})
+    best = witness = None
+    for assignment, unsat in _reference_profile(items, order):
+        if best is None or unsat < best:
+            best, witness = unsat, assignment
+    total = sum((w for _, w in items), F(0))
+    return total - best, floor + best, witness
+
+
+def _reference_verdict(source, translation, alpha, beta):
+    total = sum((w for _, w in translation), F(0))
+    if total != beta:
+        return False, None, f"claimed beta {beta} differs from total weight {total}"
+    src = sorted(set(source.variables()))
+    aux = sorted({v for c, _ in translation for v in _vars_of(c)} - set(src))
+    for values in product((0, 1), repeat=len(src)):
+        assignment = dict(zip(src, values))
+        best = max(total - unsat for _, unsat in _reference_profile(translation, aux, assignment))
+        expected = alpha if source.satisfied_by(assignment) else alpha - 1
+        if best != expected:
+            reason = f"source assignment {assignment} reaches {best}, expected {expected}"
+            return False, (assignment, best), reason
+    return True, None, None
+
+
+def _random_items(rng, nvars, count, weight):
+    items = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.05:
+            constraint = clause()  # the empty clause
+        elif r < 0.1:
+            constraint = xor([], rng.randint(0, 1))  # constant parity item
+        elif r < 0.55:
+            vs = sorted(rng.sample(range(1, nvars + 1), rng.randint(1, min(4, nvars))))
+            constraint = clause(*[v if rng.random() < 0.5 else -v for v in vs])
+        else:
+            vs = rng.sample(range(1, nvars + 1), rng.randint(1, min(2, nvars)))
+            constraint = xor(vs, rng.randint(0, 1))
+        items.append((constraint, weight(rng)))
+    return items
+
+
+WEIGHTS = {
+    "small": lambda rng: F(rng.randint(1, 3)),
+    "fractional": lambda rng: F(rng.randint(1, 9), rng.choice([1, 2, 3, 4, 6, 7])),
+    "int64": lambda rng: F(rng.randint(2**28, 2**30), rng.choice([1, 3])),
+    "object": lambda rng: F(rng.randint(2**60, 2**61), rng.choice([1, 5])),
+}
+# the accumulator most sets of each weight class need
+ACCUMULATOR = {"small": np.int32, "fractional": np.int32, "int64": np.int64, "object": object}
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+def test_brute_and_profile_match_fraction_reference(weights, chunk_bits, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(f"brute/{weights}")
+    hits = 0
+    for _ in range(25):
+        nvars = rng.randint(1, 7)
+        items = _random_items(rng, nvars, rng.randint(1, 14), WEIGHTS[weights])
+        hits += oracle._dtype_for(sum(oracle._scaled(items)[2])) is ACCUMULATOR[weights]
+        floor = F(rng.randint(0, 5), rng.randint(1, 3))
+        result = brute_opt_cost_items(items, floor=floor)
+        opt, cost, witness = _reference_brute(items, floor)
+        assert (result.opt, result.cost) == (opt, cost)
+        assert result.opt_witness == result.cost_witness == witness
+
+        order = sorted({v for c, _ in items for v in _vars_of(c)} | {nvars + 1})
+        rng.shuffle(order)
+        profile = unsat_weight_profile(items, order, floor=floor)
+        assert profile == [floor + unsat for _, unsat in _reference_profile(items, order)]
+    assert hits >= 15
+
+
+def test_accumulator_widths():
+    assert oracle._dtype_for(2**31 - 1) is np.int32
+    assert oracle._dtype_for(2**31) is np.int64
+    assert oracle._dtype_for(2**62 - 1) is np.int64
+    assert oracle._dtype_for(2**62) is object
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+def test_more_than_255_items_share_one_weight(chunk_bits, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(255)
+    items = _random_items(rng, 5, 300, lambda rng: F(3, 2))
+    items += _random_items(rng, 5, 40, WEIGHTS["small"])
+    result = brute_opt_cost_items(items)
+    opt, cost, witness = _reference_brute(items, F(0))
+    assert (result.opt, result.cost, result.cost_witness) == (opt, cost, witness)
+
+
+def test_witness_stays_least_when_ties_straddle_chunks(monkeypatch):
+    # with 2-bit chunks, variables 1-3 are fixed within each chunk; the optimum
+    # needs x2 = 1 and x4 != x5, so it first appears at index 0b01001 and again
+    # in three later chunks, twice within each of them
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
+    items = [(xor([2], 1), F(1)), (xor([4, 5], 1), F(1)), (clause(1, 3, 5), F(1, 3))]
+    result = brute_opt_cost_items(items)
+    assert result.cost_witness == {1: 0, 2: 1, 3: 0, 4: 0, 5: 1}
+    assert result.cost_witness == _reference_brute(items, F(0))[2]
+    assert result.cost == 0
+
+
+def _gadget_cases():
+    from max2xor.gadgets import TreeShape, VarAllocator, clause_params, sequential_gadget
+    from max2xor.gadgets import tree_gadget, trevisan_3to2
+
+    yield clause(1, -2), [(xor([1], 1), H), (xor([2], 0), H), (xor([1, 2], 0), H)], (F(1), F(3, 2))
+    cl = clause(1, 2, 3)
+    yield cl, trevisan_3to2(cl, VarAllocator(4)), (F(7, 2), F(4))
+    for k in (3, 5):
+        cl = clause(*range(1, k + 1))
+        params = clause_params(k)
+        yield cl, sequential_gadget(cl, None, VarAllocator(k + 1)), (params.alpha, params.beta)
+        yield cl, sequential_gadget(cl, 2 * k, VarAllocator(k + 1)), (params.alpha, params.beta)
+    cl = clause(1, -2, 3, -4, 5)
+    shape = TreeShape.random(5, random.Random(5))
+    params = clause_params(5)
+    yield cl, tree_gadget(cl, shape, None, VarAllocator(6)), (params.alpha, params.beta)
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+def test_verify_gadget_matches_fraction_reference(chunk_bits, monkeypatch):
+    # with 2-bit chunks the width-5 gadgets have more auxiliary variables than
+    # chunk bits, so one source row spans several chunks; the narrow ones fit
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    for source, translation, (alpha, beta) in _gadget_cases():
+        for a, b in ((alpha, beta), (alpha - H, beta), (alpha + 1, beta), (alpha, beta + 1)):
+            verdict = verify_gadget(source, translation, GadgetParams(a, b, None))
+            expected = _reference_verdict(source, translation, a, b)
+            assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
+    # a wrong alpha on the width-5 sequential gadget fails at the all-zero row
+    source, translation, (alpha, beta) = list(_gadget_cases())[4]
+    verdict = verify_gadget(source, translation, GadgetParams(alpha - H, beta, None))
+    assert verdict.counterexample == ({v: 0 for v in range(1, 6)}, alpha - 1)
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+def test_verify_gadget_on_random_translations(chunk_bits, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(77)
+    for trial in range(40):
+        k = rng.randint(1, 3)
+        source = clause(*[v if rng.random() < 0.5 else -v for v in range(1, k + 1)])
+        weight = WEIGHTS[("small", "fractional", "object")[trial % 3]]
+        translation = _random_items(rng, k + rng.randint(0, 4), rng.randint(1, 10), weight)
+        total = sum((w for _, w in translation), F(0))
+        # every other trial claims the best satisfied weight of the all-zero
+        # source row, so that row passes and a later one may fail or none
+        alpha = F(rng.randint(0, 8), 2)
+        if trial % 2:
+            zero = {v: 0 for v in source.variables()}
+            aux = sorted({v for c, _ in translation for v in _vars_of(c)} - set(zero))
+            alpha = max(total - u for _, u in _reference_profile(translation, aux, zero))
+            alpha += 0 if source.satisfied_by(zero) else 1
+        verdict = verify_gadget(source, translation, GadgetParams(alpha, total, None))
+        expected = _reference_verdict(source, translation, alpha, total)
+        assert (verdict.certified, verdict.counterexample, verdict.reason) == expected

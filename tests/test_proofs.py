@@ -153,6 +153,24 @@ def test_apply_rule_pattern_errors():
         apply_rule(state, "compact00", (xor([1, 2], 0), xor([3, 4], 0)), F(1))  # no allocator
 
 
+@pytest.mark.parametrize(
+    "rule,premises",
+    [(rule, (p1, p2)) for rule, p1, p2 in FIGURE_RULES] + [("xlate2", (clause(1, -2),))],
+    ids=[r for r, _, _ in FIGURE_RULES] + ["xlate2"],
+)
+def test_rules_without_fresh_variable_reject_one(rule, premises):
+    with pytest.raises(PatternError, match=f"{rule} takes no fresh variable"):
+        build_step(rule, premises, F(1), fresh_var=5)
+    if rule == "contra" or rule.startswith("unit"):
+        # a logged step that carries one fails at its own index
+        step = replace(build_step(rule, premises, F(1)), fresh_var=5)
+        items = [(xor([3], 0), F(1))] + [(p, F(1)) for p in premises]
+        verdict = check_proof(items, [step], None)
+        assert not verdict.accepted
+        assert verdict.failing_step == 0
+        assert "fresh" in verdict.reason
+
+
 def test_apply_compact_rule_scaling():
     state = make_state([(xor([1, 2], 0), H), (xor([1, 3], 0), H)])
     alloc = VarAllocator(4)
