@@ -65,7 +65,8 @@ class ParseError(Max2XorError):
 
 
 def check_weight(weight: Fraction) -> Fraction:
-    weight = Fraction(weight)
+    if type(weight) is not Fraction:
+        weight = Fraction(weight)
     if weight <= 0:
         raise InvalidWeightError(f"weight must be positive, got {weight}")
     return weight
@@ -299,7 +300,8 @@ def flip_variable(problem: X2XProblem, var: int) -> X2XProblem:
 
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as ``num/den``, always with an explicit denominator."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 

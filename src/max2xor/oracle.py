@@ -278,12 +278,19 @@ def verify_gadget(
             if least[row] is None or value < least[row]:
                 least[row] = value
 
+    # The target of each row is alpha less 1 where the source is unsatisfied,
+    # which the kernel reads from the row index bits.
     total_scaled = sum(scaled)
     alpha_scaled = int(alpha * scale)
-    for i, unsat in enumerate(least):
-        assignment = _index_to_assignment(i, src_order)
-        target = alpha_scaled if source.satisfied_by(assignment) else alpha_scaled - scale
+    source_unsat = (
+        value
+        for _, unsat in _unsat_chunks([(source, 1)], [1], src_order)
+        for value in unsat.tolist()
+    )
+    for i, (unsat, missed) in enumerate(zip(least, source_unsat)):
+        target = alpha_scaled - missed * scale
         if total_scaled - unsat != target:
+            assignment = _index_to_assignment(i, src_order)
             achieved = Fraction(total_scaled - unsat, scale)
             return GadgetVerdict(
                 certified=False,

@@ -32,6 +32,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     EMPTY_CLAUSE,
+    HALF,
+    ONE,
     Max2XorError,
     OrClause,
     TAUTOLOGY,
@@ -103,7 +105,6 @@ KNOWN_RULES = frozenset(
 )
 
 TWO = Fraction(2)
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def build_step(
             residues = tuple(
                 (_residue_clause(signs, (x, a, b)), TWO) for signs in templates
             )
-            return ProofStep(rule, weight, (p1, p2), ((conclusion, Fraction(1)),), residues)
+            return ProofStep(rule, weight, (p1, p2), ((conclusion, ONE),), residues)
         par1, par2, edge_parities = _COMPACT_RULES[rule]
         if (p1.parity, p2.parity) != (par1, par2):
             raise PatternError(f"{rule} premises must have parities {par1}/{par2}")
@@ -229,7 +230,7 @@ def build_step(
             raise PatternError(f"fresh variable {fresh_var} occurs in the premises")
         px, pa, pb = edge_parities
         conclusions = (
-            (XorConstraint(tuple(sorted((a, b))), par1 ^ par2 ^ 1), Fraction(1)),
+            (XorConstraint(tuple(sorted((a, b))), par1 ^ par2 ^ 1), ONE),
             (XorConstraint(tuple(sorted((x, fresh_var))), px), TWO),
             (XorConstraint(tuple(sorted((a, fresh_var))), pa), TWO),
             (XorConstraint(tuple(sorted((b, fresh_var))), pb), TWO),
@@ -250,14 +251,14 @@ def build_step(
         a = _other(p2, x)
         conclusion = XorConstraint((a,), par1 ^ par2)
         residues = ((_residue_clause(template, (x, a)), TWO),)
-        return ProofStep(rule, weight, (p1, p2), ((conclusion, Fraction(1)),), residues)
+        return ProofStep(rule, weight, (p1, p2), ((conclusion, ONE),), residues)
 
     # the one rule left is contra
     if p1.vars != p2.vars or (p1.parity, p2.parity) != (0, 1):
         raise PatternError(
             f"contra premises must be the same variables at parities 0/1: {p1} / {p2}"
         )
-    return ProofStep(rule, weight, (p1, p2), ((EMPTY_CLAUSE, Fraction(1)),))
+    return ProofStep(rule, weight, (p1, p2), ((EMPTY_CLAUSE, ONE),))
 
 
 def _xlate_step(
@@ -270,7 +271,7 @@ def _xlate_step(
     if rule == "xlate2":
         if cl.k != 2:
             raise PatternError(f"xlate2 needs a binary clause, got width {cl.k}")
-        conclusions = tuple((c, w) for c, w in binary_gadget(Fraction(1), cl))
+        conclusions = tuple((c, w) for c, w in binary_gadget(ONE, cl))
         return ProofStep(rule, weight, (cl,), conclusions, (), offset=weight * HALF)
     if cl.k != 3:
         raise PatternError(f"xlate3 needs a ternary clause, got width {cl.k}")
@@ -736,10 +737,17 @@ def saturate(
 
 @dataclass
 class CheckVerdict:
+    """Outcome of :func:`check_proof`.
+
+    ``stats`` counts the work of the call: ``truth_tables`` run and
+    ``shape_hits``, the steps whose shape was already verified.
+    """
+
     accepted: bool
     failing_step: Optional[int] = None
     reason: Optional[str] = None
     summary: Optional[ProofSummary] = None
+    stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def _unsat(item, assignment) -> bool:
@@ -802,6 +810,43 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
     return None
 
 
+# Shapes of steps that equal their canonical instance and passed the truth
+# table, shared by every check_proof call in the process.  Rejections are
+# never stored, so a failing step always runs its table and its message
+# quotes the real weights and assignment.
+_ACCEPTED_SHAPES: Set[tuple] = set()
+
+
+def _item_shape(item, names: Dict[int, int]) -> tuple:
+    """Kind and signs of a parity or clause item, on renamed variables."""
+    if isinstance(item, OrClause):
+        return ("c",) + tuple([(names.setdefault(abs(l), len(names)), l > 0) for l in item.lits])
+    return ("x", item.parity) + tuple([names.setdefault(v, len(names)) for v in item.vars])
+
+
+def _step_shape(step: ProofStep) -> tuple:
+    """What a step's truth-table verdict depends on.
+
+    Variables are renamed by first appearance over the premises, the
+    conclusions, the residues and the fresh variable, in that order.  Every
+    unsatisfied-weight term is ``weight`` times a multiplier (one for a
+    premise), and ``weight > 0``, so steps with equal shapes have truth
+    tables that are the same up to renaming and scale.  Rationals enter as
+    (numerator, denominator) pairs, which hash several times faster than
+    ``Fraction``.
+    """
+    names: Dict[int, int] = {}
+    ratio = step.offset / step.weight if step.offset else ZERO
+    return (
+        tuple([_item_shape(p, names) for p in step.premises]),
+        tuple([(_item_shape(c, names), m.numerator, m.denominator) for c, m in step.conclusions]),
+        tuple([(_item_shape(cl, names), m.numerator, m.denominator) for cl, m in step.residues]),
+        None if step.fresh_var is None else names.setdefault(step.fresh_var, len(names)),
+        ratio.numerator,
+        ratio.denominator,
+    )
+
+
 def _derived_rounds(steps: Sequence[ProofStep]) -> int:
     rounds = 1
     previous_was_xlate = False
@@ -826,7 +871,11 @@ def check_proof(
     engine's own replay routine, which checks the weight protocol (the
     applied weight equals the smaller premise weight) and the freshness of
     introduced variables.  Accepts, or pinpoints the first failing step.
+
+    A truth table runs once per step shape (see :func:`_step_shape`) in the
+    process: a step whose shape has already passed is not tabled again.
     """
+    stats = {"truth_tables": 0, "shape_hits": 0}
     state = make_state(source)
     for index, step in enumerate(steps):
         try:
@@ -835,38 +884,41 @@ def check_proof(
                 raise PatternError(
                     f"step is not the canonical {step.rule} instance of its premises"
                 )
-            table_reason = _truth_table_reason(step)
-            if table_reason is not None:
-                raise PatternError(f"truth table: {table_reason}")
+            # keyed on the canonical instance, whose rationals are Fractions
+            # even when a hand-built step that equals it holds ints
+            shape = _step_shape(expected)
+            if shape in _ACCEPTED_SHAPES:
+                stats["shape_hits"] += 1
+            else:
+                stats["truth_tables"] += 1
+                table_reason = _truth_table_reason(step)
+                if table_reason is not None:
+                    raise PatternError(f"truth table: {table_reason}")
+                _ACCEPTED_SHAPES.add(shape)
             _replay_step(state, step)
         except Max2XorError as exc:
-            return CheckVerdict(accepted=False, failing_step=index, reason=str(exc))
+            return CheckVerdict(
+                accepted=False, failing_step=index, reason=str(exc), stats=stats
+            )
 
     derived = _summarize(
         state, max(state.seen_vars, default=0), _derived_rounds(steps), len(steps)
     )
+    reason = None
     if claimed is not None:
         if claimed.bound_m != derived.bound_m:
-            return CheckVerdict(
-                accepted=False,
-                reason=(
-                    f"claimed bound {format_rational(claimed.bound_m)} differs from "
-                    f"derived {format_rational(derived.bound_m)}"
-                ),
-                summary=derived,
+            reason = (
+                f"claimed bound {format_rational(claimed.bound_m)} differs from "
+                f"derived {format_rational(derived.bound_m)}"
             )
-        if (
+        elif (
             claimed.residual.entries != derived.residual.entries
             or claimed.residual.floor != derived.residual.floor
         ):
-            return CheckVerdict(
-                accepted=False, reason="claimed residual differs from replay", summary=derived
-            )
-        if tuple(claimed.residue_clauses) != derived.residue_clauses:
-            return CheckVerdict(
-                accepted=False, reason="claimed residues differ from replay", summary=derived
-            )
-    return CheckVerdict(accepted=True, summary=derived)
+            reason = "claimed residual differs from replay"
+        elif tuple(claimed.residue_clauses) != derived.residue_clauses:
+            reason = "claimed residues differ from replay"
+    return CheckVerdict(accepted=reason is None, reason=reason, summary=derived, stats=stats)
 
 
 # ---------------------------------------------------------------------------

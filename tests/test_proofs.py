@@ -10,9 +10,11 @@ from itertools import product
 import pytest
 
 from max2xor.core import EMPTY_CLAUSE, XorConstraint, clause, format_rational, normalize, xor
+from max2xor import proofs
 from max2xor.gadgets import VarAllocator, compile_maxsat
 from max2xor.oracle import brute_opt_cost, brute_opt_cost_items
 from max2xor.proofs import (
+    MODES,
     PatternError,
     ProvenanceError,
     RuleApplicationError,
@@ -639,6 +641,117 @@ def test_checker_rejects_tampered_fields_everywhere():
                 assert verdict.failing_step == index, (mode, index, mutant, verdict.reason)
                 tampered_total += 1
     assert tampered_total > 50
+
+
+@pytest.fixture
+def cold_shapes(monkeypatch):
+    """An empty accepted-shape cache for this test only."""
+    shapes = set()
+    monkeypatch.setattr(proofs, "_ACCEPTED_SHAPES", shapes)
+    return shapes
+
+
+def _verdict_key(verdict):
+    return verdict.accepted, verdict.failing_step, verdict.reason
+
+
+def _one_step_mutants(steps):
+    """(index, mutant) pairs at the first step of each rule and the last step
+    that introduces a variable: a flipped conclusion parity, a doubled
+    weight, swapped premises, a reused fresh variable and an altered offset."""
+    first = {}
+    for index, step in enumerate(steps):
+        first.setdefault(step.rule, index)
+    fresh = [index for index, step in enumerate(steps) if step.fresh_var is not None]
+    for index in sorted(set(first.values()) | set(fresh[-1:])):
+        step = steps[index]
+        constraint, mult = step.conclusions[0]
+        flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
+        yield index, replace(step, conclusions=((flipped, mult),) + step.conclusions[1:])
+        yield index, replace(step, weight=step.weight * 2)
+        if len(step.premises) == 2:
+            p1, p2 = step.premises
+            # swapping two premises of one arity and parity gives another
+            # sound instance of the same rule, so only the others are mutants
+            if (p1.arity, p1.parity) != (p2.arity, p2.parity):
+                yield index, replace(step, premises=(p2, p1))
+        if step.fresh_var is not None:
+            premise_vars = set()
+            for p in step.premises:
+                premise_vars.update(p.vars if isinstance(p, XorConstraint) else p.variables())
+            # the canonical step on an earlier step's fresh variable, which
+            # only the freshness check rejects
+            reusable = [steps[i].fresh_var for i in fresh if i < index]
+            reusable = [v for v in reusable if v not in premise_vars]
+            if reusable:
+                yield index, build_step(step.rule, step.premises, step.weight, reusable[-1])
+        yield index, replace(step, offset=step.offset + 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
+    problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
+    summary, steps = saturate(problem, mode=mode)
+    assert check_proof(problem, steps, summary).accepted  # every sound shape is cached
+    warm = []
+    for index, mutant in _one_step_mutants(steps):
+        broken = list(steps)
+        broken[index] = mutant
+        warm.append((index, broken, check_proof(problem, broken, summary)))
+    assert len(warm) > 20
+    mutated_shape_hits = 0
+    for index, broken, verdict in warm:
+        assert not verdict.accepted
+        assert verdict.failing_step == index, (index, broken[index], verdict.reason)
+        # a mutant that equals its canonical instance reaches the cached shape
+        mutated_shape_hits += verdict.stats == {"truth_tables": 0, "shape_hits": index + 1}
+        cold_shapes.clear()
+        cold = check_proof(problem, broken, summary)
+        assert _verdict_key(cold) == _verdict_key(verdict)
+    assert mutated_shape_hits > 0
+
+
+@pytest.mark.parametrize("table,rule", [("_UNIT_RULES", "unit11"), ("_CHAIN_RULES", "chain01")])
+def test_checker_tables_an_unsound_rule_after_its_sound_shape_was_cached(
+    table, rule, cold_shapes, monkeypatch
+):
+    problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
+    summary, steps = saturate(problem)
+    assert check_proof(problem, steps, summary).accepted
+
+    # flip the first literal of the rule's first residue template; the
+    # engine and the canonical comparison now both use the unsound template
+    par1, par2, templates = getattr(proofs, table)[rule]
+    if table == "_UNIT_RULES":
+        unsound = (par1, par2, (-templates[0],) + templates[1:])
+    else:
+        first = templates[0]
+        unsound = (par1, par2, ((-first[0],) + first[1:],) + templates[1:])
+    monkeypatch.setitem(getattr(proofs, table), rule, unsound)
+    bad_summary, bad_steps = saturate(problem)
+    index = next(i for i, step in enumerate(bad_steps) if step.rule == rule)
+
+    warm = check_proof(problem, bad_steps, bad_summary)
+    assert not warm.accepted
+    assert warm.failing_step == index
+    assert warm.reason.startswith("truth table:")
+    assert warm.stats == {"truth_tables": 1, "shape_hits": index}
+    # the rejected shape was not cached, and a cold cache gives the same verdict
+    again = check_proof(problem, bad_steps, bad_summary)
+    assert (_verdict_key(again), again.stats) == (_verdict_key(warm), warm.stats)
+    cold_shapes.clear()
+    assert _verdict_key(check_proof(problem, bad_steps, bad_summary)) == _verdict_key(warm)
+
+
+def test_checker_counts_truth_tables_and_shape_hits(cold_shapes):
+    problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
+    summary, steps = saturate(problem, mode="retranslate")
+    cold = check_proof(problem, steps, summary)
+    assert cold.stats == {"truth_tables": 27, "shape_hits": 446}
+    assert len(cold_shapes) == 27
+    warm = check_proof(problem, steps, summary)
+    assert warm.stats == {"truth_tables": 0, "shape_hits": 473}
+    assert warm == cold  # the counts take no part in comparison
 
 
 def test_checker_rejects_wrong_claimed_bound():
