@@ -39,6 +39,7 @@ from .textio import (
     parse_cnf,
     parse_proof,
     parse_x2x,
+    sniff_format,
 )
 
 EXIT_OK = 0
@@ -59,22 +60,11 @@ def _oracle_guard() -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _sniff_format(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c") or stripped.startswith("%"):
-            continue
-        if stripped.startswith("p "):
-            kind = stripped.split()[1]
-            if kind in ("cnf", "wcnf"):
-                return "cnf"
-            if kind == "x2x":
-                return "x2x"
-        break
-    raise Max2XorError("input is neither DIMACS cnf/wcnf nor x2x (no recognizable header)")
+    """The text of ``path``, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise Max2XorError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_mode(text: str):
@@ -95,7 +85,7 @@ def _parse_mode(text: str):
 
 def _load_shapes(path: str) -> dict:
     shapes = {}
-    for index, line in enumerate(Path(path).read_text().splitlines()):
+    for index, line in enumerate(_read(path).splitlines()):
         line = line.strip()
         if line and not line.startswith("c"):
             shapes[index] = TreeShape.parse(line)
@@ -130,7 +120,7 @@ def _cmd_bound(args, out) -> int:
     mode, rounds = _parse_mode(args.mode)
     output = args.output or str(Path(args.input).with_suffix(".x2xproof"))
     report = None
-    if _sniff_format(text) == "cnf":
+    if sniff_format(text) == "cnf":
         shapes = _load_shapes(args.shapes) if args.shapes else None
         report = compile_maxsat(parse_cnf(text), strategy=args.strategy, shapes=shapes)
         problem = report.problem
@@ -179,7 +169,7 @@ def _cmd_export_cut(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     text = _read(args.input)
-    if _sniff_format(text) == "cnf":
+    if sniff_format(text) == "cnf":
         items = parse_cnf(text).clauses
         floor = Fraction(0)
     else:
@@ -230,7 +220,7 @@ def _resolve_shape(args, k: int) -> TreeShape:
         return TreeShape.left_comb(k)
     if spec == "random":
         return TreeShape.random(k, random.Random(args.seed))
-    lines = [l for l in Path(spec).read_text().splitlines() if l.strip()]
+    lines = [l for l in _read(spec).splitlines() if l.strip()]
     if not lines:
         raise Max2XorError(f"shape file {spec} is empty")
     shape = TreeShape.parse(lines[0])

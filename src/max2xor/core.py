@@ -9,6 +9,7 @@ there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
@@ -305,11 +306,17 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(token: str) -> Fraction:
-    try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}") from exc
+    """Read an ASCII ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` token with a nonzero denominator."""
+    match = _RATIONAL_TOKEN.fullmatch(token)
+    if match is not None:
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        den = int(den)
+        if den:
+            return Fraction(int(num), den)
+    raise ParseError(f"bad rational {token!r}")

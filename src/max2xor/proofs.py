@@ -95,13 +95,14 @@ _COMPACT_RULES = {
     "compact11": (1, 1, (0, 1, 1)),
 }
 
-_XLATE_RULES = ("xlate2", "xlate3")
+# Retranslation rules: their one premise is a residue clause, not a parity constraint.
+CLAUSE_PREMISE_RULES = ("xlate2", "xlate3")
 
 # Rules that introduce a variable; every other rule takes no fresh variable.
 _FRESH_RULES = frozenset(list(_COMPACT_RULES) + ["xlate3"])
 
 KNOWN_RULES = frozenset(
-    list(_CHAIN_RULES) + list(_UNIT_RULES) + list(_COMPACT_RULES) + ["contra"] + list(_XLATE_RULES)
+    [*_CHAIN_RULES, *_UNIT_RULES, *_COMPACT_RULES, "contra", *CLAUSE_PREMISE_RULES]
 )
 
 TWO = Fraction(2)
@@ -199,7 +200,7 @@ def build_step(
     if fresh_var is not None and rule not in _FRESH_RULES:
         raise PatternError(f"{rule} takes no fresh variable")
     weight = check_weight(weight)
-    if rule in _XLATE_RULES:
+    if rule in CLAUSE_PREMISE_RULES:
         return _xlate_step(rule, premises, weight, fresh_var)
     if len(premises) != 2:
         raise PatternError(f"{rule} takes two premises")
@@ -291,7 +292,7 @@ def _xlate_step(
 
 
 def _check_weights(state: ProofState, step: ProofStep) -> None:
-    if step.rule in _XLATE_RULES:
+    if step.rule in CLAUSE_PREMISE_RULES:
         pool = state.residues.get(step.premises[0])
         if pool is None:
             raise RuleApplicationError(f"residue clause {step.premises[0]} not present")
@@ -322,7 +323,7 @@ def _replay_step(state: ProofState, step: ProofStep) -> None:
     _check_weights(state, step)
     if step.fresh_var is not None and step.fresh_var in state.seen_vars:
         raise PatternError(f"variable {step.fresh_var} is not fresh")
-    if step.rule in _XLATE_RULES:
+    if step.rule in CLAUSE_PREMISE_RULES:
         cl = step.premises[0]
         remaining = state.residues[cl] - step.weight
         if remaining == 0:
@@ -851,7 +852,7 @@ def _derived_rounds(steps: Sequence[ProofStep]) -> int:
     rounds = 1
     previous_was_xlate = False
     for step in steps:
-        is_xlate = step.rule in _XLATE_RULES
+        is_xlate = step.rule in CLAUSE_PREMISE_RULES
         if is_xlate and not previous_was_xlate:
             rounds += 1
         previous_was_xlate = is_xlate

@@ -15,7 +15,7 @@ Formats (ASCII, newline-terminated lines):
 ``.cut``
     ``p cut <node_count> <edge_count>`` header, ``c anchor0 <id>`` /
     ``c anchor1 <id>`` comments when anchors exist, then edge lines
-    ``e <u> <v> <num>/<den>`` with u < v, sorted.
+    ``e <u> <v> <num>/<den>`` with u < v, sorted.  Nodes are ``1..node_count``.
 
 ``.x2xproof``
     One ``s`` line per step::
@@ -31,9 +31,10 @@ Formats (ASCII, newline-terminated lines):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     InvalidClauseError,
@@ -51,6 +52,81 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
+# Shared readers
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _records(text: str, comment_prefixes: Tuple[str, ...]) -> Iterator[Tuple[int, str]]:
+    """``(line_no, stripped_line)`` for each line neither blank nor a comment."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith(comment_prefixes):
+            yield line_no, line
+
+
+def _int(token: str, what: str, line_no: int) -> int:
+    """An ASCII ``-?[0-9]+`` token, or a ParseError naming ``what`` and the line."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ParseError(f"bad {what} {token!r}", line_no)
+    return int(token)
+
+
+def _rational(token: str, what: str, line_no: int) -> Fraction:
+    """``parse_rational(token)``, or a ParseError naming ``what`` and the line."""
+    try:
+        return parse_rational(token)
+    except ParseError:
+        raise ParseError(f"bad {what} {token!r}", line_no) from None
+
+
+def _positive(token: str, what: str, line_no: int, read=_rational):
+    """A weight token read by ``read``; it must be positive."""
+    value = read(token, what, line_no)
+    if value.numerator <= 0:  # the sign of a Fraction, without its slower comparison
+        raise ParseError(f"{what} must be positive, got {token}", line_no)
+    return value
+
+
+def _header(tokens: List[str], line_no: int, seen: bool, kinds: tuple, counts: tuple):
+    """The kind and the non-negative counts, named by ``counts``, of a ``p`` line."""
+    if seen:
+        raise ParseError("duplicate header", line_no)
+    if len(tokens) != 2 + len(counts) or tokens[1] not in kinds:
+        raise ParseError(f"bad header {' '.join(tokens)!r}", line_no)
+    values = [_int(token, name, line_no) for name, token in zip(counts, tokens[2:])]
+    if min(values) < 0:
+        raise ParseError(f"negative count in header {' '.join(tokens)!r}", line_no)
+    return tokens[1], values
+
+
+def _clause(tokens: List[str], line_no: int, var_count: Optional[int] = None) -> OrClause:
+    """Read ``<lit>... 0``; with ``var_count``, no variable may exceed it."""
+    if not tokens or tokens[-1] != "0":
+        raise ParseError("clause must end with 0", line_no)
+    lits = []
+    for token in tokens[:-1]:
+        lit = _int(token, "literal", line_no)
+        if var_count is not None and abs(lit) > var_count:
+            raise ParseError(f"variable {abs(lit)} exceeds declared count {var_count}", line_no)
+        lits.append(lit)
+    try:
+        return OrClause(tuple(sorted(lits, key=abs)))
+    except InvalidClauseError as exc:
+        raise ParseError(f"bad clause: {exc}", line_no) from exc
+
+
+def sniff_format(text: str) -> str:
+    """``"cnf"`` or ``"x2x"``, from the header that opens ``text``."""
+    for _, line in _records(text, ("c", "%")):
+        kind = line.split()[1] if line.startswith("p ") else None
+        if kind in ("cnf", "wcnf", "x2x"):
+            return "x2x" if kind == "x2x" else "cnf"
+        break
+    raise Max2XorError("input is neither DIMACS cnf/wcnf nor x2x (no recognizable header)")
+
+
+# ---------------------------------------------------------------------------
 # DIMACS cnf / wcnf
 
 
@@ -63,39 +139,6 @@ class WcnfInstance:
         return sum((w for _, w in self.clauses), ZERO)
 
 
-def _int(token: str, what: str, line_no: int) -> int:
-    """``int(token)``, or a ParseError naming ``what`` and the line."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad {what} {token!r}", line_no) from None
-
-
-def _rational(token: str, what: str, line_no: int) -> Fraction:
-    """``parse_rational(token)``, or a ParseError naming ``what`` and the line."""
-    try:
-        return parse_rational(token)
-    except ParseError:
-        raise ParseError(f"bad {what} {token!r}", line_no) from None
-
-
-def _parse_clause_lits(tokens: List[str], var_count: int, line_no: int) -> OrClause:
-    if not tokens or tokens[-1] != "0":
-        raise ParseError("clause line must end with 0", line_no)
-    lits = []
-    for tok in tokens[:-1]:
-        lit = _int(tok, "literal", line_no)
-        if lit == 0:
-            raise ParseError("literal 0 before end of clause", line_no)
-        if abs(lit) > var_count:
-            raise ParseError(f"variable {abs(lit)} exceeds declared count {var_count}", line_no)
-        lits.append(lit)
-    try:
-        return OrClause(tuple(sorted(lits, key=abs)))
-    except InvalidClauseError as exc:
-        raise ParseError(f"tautological or duplicated literal: {exc}", line_no) from exc
-
-
 def parse_cnf(text: str) -> WcnfInstance:
     """Read a DIMACS cnf or wcnf instance; all clauses are soft.
 
@@ -104,49 +147,33 @@ def parse_cnf(text: str) -> WcnfInstance:
     unsupported.
     """
     var_count: Optional[int] = None
-    clause_count: Optional[int] = None
-    weighted = False
+    kind = clause_count = None
     top: Optional[int] = None
     clauses: List[Tuple[OrClause, Fraction]] = []
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
+    for line_no, line in _records(text, ("c", "%")):
         tokens = line.split()
         if tokens[0] == "p":
-            if var_count is not None:
-                raise ParseError("duplicate problem header", line_no)
-            if len(tokens) not in (4, 5) or tokens[1] not in ("cnf", "wcnf"):
-                raise ParseError(f"bad problem header {line!r}", line_no)
-            weighted = tokens[1] == "wcnf"
-            try:
-                var_count = int(tokens[2])
-                clause_count = int(tokens[3])
-                if len(tokens) == 5:
-                    if not weighted:
-                        raise ParseError("cnf header does not take a top weight", line_no)
-                    top = int(tokens[4])
-            except ValueError as exc:
-                raise ParseError(f"bad problem header {line!r}", line_no) from exc
+            if len(tokens) == 5 and tokens[1] == "wcnf":
+                top = _int(tokens.pop(), "top weight", line_no)
+            kind, (var_count, clause_count) = _header(
+                tokens, line_no, var_count is not None, ("cnf", "wcnf"),
+                ("variable count", "clause count"),
+            )
             continue
         if var_count is None:
             raise ParseError("clause before problem header", line_no)
-        if weighted:
-            weight = _int(tokens[0], "clause weight", line_no)
-            if weight <= 0:
-                raise ParseError(f"clause weight must be positive, got {weight}", line_no)
+        weight = 1
+        if kind == "wcnf":
+            weight = _positive(tokens[0], "clause weight", line_no, _int)
             if top is not None and weight >= top:
                 raise UnsupportedFeatureError(
                     f"line {line_no}: hard clauses (weight >= top {top}) are not supported"
                 )
-            body = tokens[1:]
-        else:
-            weight = 1
-            body = tokens
-        clauses.append((_parse_clause_lits(body, var_count, line_no), Fraction(weight)))
+            del tokens[0]
+        clauses.append((_clause(tokens, line_no, var_count), Fraction(weight)))
 
-    if var_count is None or clause_count is None:
+    if var_count is None:
         raise ParseError("missing problem header")
     if len(clauses) != clause_count:
         raise ParseError(f"header declares {clause_count} clauses, found {len(clauses)}")
@@ -173,26 +200,16 @@ def emit_x2x(problem: X2XProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_entry(tokens: List[str], line_no: int) -> Tuple[XorConstraint, Fraction]:
-    if "=" not in tokens:
-        raise ParseError("entry line needs '='", line_no)
-    eq = tokens.index("=")
-    if eq != len(tokens) - 2:
+def _entry(tokens: List[str], line_no: int) -> Tuple[XorConstraint, Fraction]:
+    """Read ``<num>/<den> [<v1> [<v2>]] = <parity>``."""
+    if len(tokens) < 2 or tokens[-2] != "=":
         raise ParseError("entry line must end with '= <parity>'", line_no)
-    weight = _rational(tokens[0], "weight", line_no)
-    if weight <= 0:
-        raise ParseError(f"weight must be positive, got {tokens[0]}", line_no)
+    weight = _positive(tokens[0], "weight", line_no)
     if tokens[-1] not in ("0", "1"):
         raise ParseError(f"parity must be 0 or 1, got {tokens[-1]!r}", line_no)
-    parity = int(tokens[-1])
+    variables = [_int(t, "variable", line_no) for t in tokens[1:-2]]
     try:
-        variables = [int(t) for t in tokens[1:eq]]
-    except ValueError as exc:
-        raise ParseError(f"bad variable in entry: {exc}", line_no) from exc
-    if len(set(variables)) != len(variables):
-        raise ParseError(f"repeated variable in entry {variables}", line_no)
-    try:
-        constraint = XorConstraint(tuple(sorted(variables)), parity)
+        constraint = XorConstraint(tuple(sorted(variables)), 1 if tokens[-1] == "1" else 0)
     except Max2XorError as exc:
         raise ParseError(str(exc), line_no) from exc
     return constraint, weight
@@ -204,17 +221,12 @@ def parse_x2x(text: str) -> X2XProblem:
     saw_floor = False
     raw: List[Tuple[XorConstraint, Fraction]] = []
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
+    for line_no, line in _records(text, ("c",)):
         tokens = line.split()
         if tokens[0] == "p":
-            if var_count is not None:
-                raise ParseError("duplicate header", line_no)
-            if len(tokens) != 3 or tokens[1] != "x2x":
-                raise ParseError(f"bad header {line!r}", line_no)
-            var_count = _int(tokens[2], "variable count", line_no)
+            _, (var_count,) = _header(
+                tokens, line_no, var_count is not None, ("x2x",), ("variable count",)
+            )
             continue
         if var_count is None:
             raise ParseError("entry before header", line_no)
@@ -228,7 +240,7 @@ def parse_x2x(text: str) -> X2XProblem:
                 raise ParseError("floor must be non-negative", line_no)
             saw_floor = True
             continue
-        constraint, weight = _parse_entry(tokens, line_no)
+        constraint, weight = _entry(tokens, line_no)
         if constraint.vars and constraint.vars[-1] > var_count:
             raise ParseError(
                 f"variable {constraint.vars[-1]} exceeds declared count {var_count}", line_no
@@ -283,38 +295,41 @@ def emit_maxcut(graph: CutGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ANCHORS = {"anchor0": "anchor_zero", "anchor1": "anchor_one"}
+
+
 def parse_maxcut(text: str) -> CutGraph:
     graph: Optional[CutGraph] = None
-    declared_edges: Optional[int] = None
+    declared_edges = 0
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
+    def node(token: str, what: str, line_no: int) -> int:
+        value = _int(token, what, line_no)
+        if not 1 <= value <= graph.node_count:
+            raise ParseError(f"{what} {value} outside 1..{graph.node_count}", line_no)
+        return value
+
+    # No comment prefixes: the "c anchor" lines carry data.
+    for line_no, line in _records(text, ()):
         tokens = line.split()
         if tokens[0] == "c":
-            if len(tokens) == 3 and tokens[1] in ("anchor0", "anchor1") and graph is not None:
-                anchor = _int(tokens[2], "anchor node", line_no)
-                if tokens[1] == "anchor0":
-                    graph.anchor_zero = anchor
-                else:
-                    graph.anchor_one = anchor
+            if len(tokens) == 3 and tokens[1] in _ANCHORS:
+                if graph is None:
+                    raise ParseError("anchor before header", line_no)
+                setattr(graph, _ANCHORS[tokens[1]], node(tokens[2], "anchor node", line_no))
             continue
         if tokens[0] == "p":
-            if graph is not None:
-                raise ParseError("duplicate header", line_no)
-            if len(tokens) != 4 or tokens[1] != "cut":
-                raise ParseError(f"bad header {line!r}", line_no)
-            graph = CutGraph(node_count=_int(tokens[2], "node count", line_no))
-            declared_edges = _int(tokens[3], "edge count", line_no)
+            _, (node_count, declared_edges) = _header(
+                tokens, line_no, graph is not None, ("cut",), ("node count", "edge count")
+            )
+            graph = CutGraph(node_count=node_count)
             continue
         if tokens[0] == "e":
             if graph is None:
                 raise ParseError("edge before header", line_no)
             if len(tokens) != 4:
                 raise ParseError("edge line is 'e <u> <v> <num>/<den>'", line_no)
-            u = _int(tokens[1], "edge endpoint", line_no)
-            v = _int(tokens[2], "edge endpoint", line_no)
+            u = node(tokens[1], "edge endpoint", line_no)
+            v = node(tokens[2], "edge endpoint", line_no)
             weight = _rational(tokens[3], "edge weight", line_no)
             try:
                 graph.add_edge(u, v, weight)
@@ -323,7 +338,7 @@ def parse_maxcut(text: str) -> CutGraph:
             continue
         raise ParseError(f"unrecognized line {line!r}", line_no)
 
-    if graph is None or declared_edges is None:
+    if graph is None:
         raise ParseError("missing header")
     if len(graph.edges) != declared_edges:
         raise ParseError(f"header declares {declared_edges} edges, found {len(graph.edges)}")
@@ -333,36 +348,12 @@ def parse_maxcut(text: str) -> CutGraph:
 # ---------------------------------------------------------------------------
 # .x2xproof
 
-CLAUSE_PREMISE_RULES = ("xlate2", "xlate3")
 
-
-def _weighted_constraint_str(constraint: XorConstraint, weight: Fraction) -> str:
-    return _entry_line(constraint, weight)
-
-
-def _weighted_clause_str(cl: OrClause, weight: Fraction) -> str:
-    lits = " ".join(str(l) for l in cl.lits)
-    if lits:
-        lits += " "
-    return f"{format_rational(weight)} {lits}0"
-
-
-def _parse_weighted_constraint(text: str, line_no: int) -> Tuple[XorConstraint, Fraction]:
-    return _parse_entry(text.split(), line_no)
-
-
-def _parse_weighted_clause(text: str, line_no: int) -> Tuple[OrClause, Fraction]:
-    tokens = text.split()
-    if len(tokens) < 2 or tokens[-1] != "0":
-        raise ParseError(f"clause item must end with 0: {text!r}", line_no)
-    weight = _rational(tokens[0], "weight", line_no)
-    if weight <= 0:
-        raise ParseError(f"weight must be positive, got {tokens[0]}", line_no)
-    try:
-        lits = tuple(sorted((int(t) for t in tokens[1:-1]), key=abs))
-        return OrClause(lits), weight
-    except (ValueError, InvalidClauseError) as exc:
-        raise ParseError(f"bad clause item {text!r}: {exc}", line_no) from exc
+def _item_text(item, weight: Fraction) -> str:
+    """A proof item prefixed by its weight: a clause as ``<lit>... 0``, else an entry."""
+    if type(item) is not OrClause:
+        return _entry_line(item, weight)
+    return " ".join([format_rational(weight), *map(str, item.lits), "0"])
 
 
 def emit_proof(steps) -> str:
@@ -373,87 +364,64 @@ def emit_proof(steps) -> str:
             head += f" y {step.fresh_var}"
         if step.offset != 0:
             head += f" o {format_rational(step.offset)}"
-        if step.rule in CLAUSE_PREMISE_RULES:
-            premises = "; ".join(_weighted_clause_str(p, step.weight) for p in step.premises)
-        else:
-            premises = "; ".join(
-                _weighted_constraint_str(p, step.weight) for p in step.premises
-            )
-        conclusions = "; ".join(
-            _weighted_constraint_str(c, step.weight * m) for c, m in step.conclusions
-        )
-        residues = "; ".join(
-            _weighted_clause_str(c, step.weight * m) for c, m in step.residues
-        )
+        premises = "; ".join(_item_text(p, step.weight) for p in step.premises)
+        conclusions = "; ".join(_item_text(c, step.weight * m) for c, m in step.conclusions)
+        residues = "; ".join(_item_text(c, step.weight * m) for c, m in step.residues)
         lines.append(f"{head} | {premises} | {conclusions} | {residues}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_proof(text: str):
-    from .proofs import KNOWN_RULES, ProofStep  # deferred: proofs builds on textio
+    # deferred: proofs builds on textio
+    from .proofs import CLAUSE_PREMISE_RULES, KNOWN_RULES, ProofStep
 
     steps = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
-        sections = [part.strip() for part in line.split("|")]
-        if len(sections) != 4:
+    for line_no, line in _records(text, ("c",)):
+        head, *parts = line.split("|")
+        if len(parts) != 3:
             raise ParseError("step line needs 4 '|' separated sections", line_no)
-        head, premises_part, conclusions_part, residues_part = sections
         tokens = head.split()
         if len(tokens) < 4 or tokens[0] != "s" or tokens[2] != "w":
-            raise ParseError(f"bad step head {head!r}", line_no)
+            raise ParseError(f"bad step head {head.strip()!r}", line_no)
         rule = tokens[1]
         if rule not in KNOWN_RULES:
             raise ParseError(f"unknown rule id {rule!r}", line_no)
-        weight = _rational(tokens[3], "applied weight", line_no)
-        if weight <= 0:
-            raise ParseError(f"applied weight must be positive, got {tokens[3]}", line_no)
-        fresh_var: Optional[int] = None
-        offset = ZERO
-        rest = tokens[4:]
-        while rest:
-            if rest[0] == "y" and len(rest) >= 2:
-                fresh_var = _int(rest[1], "fresh variable", line_no)
-            elif rest[0] == "o" and len(rest) >= 2:
-                offset = _rational(rest[1], "offset", line_no)
+        weight = _positive(tokens[3], "applied weight", line_no)
+        fresh_var, offset = None, ZERO
+        for i in range(4, len(tokens), 2):
+            key = tokens[i]
+            if key not in ("y", "o") or i + 1 == len(tokens):
+                raise ParseError(f"bad step head token {key!r}", line_no)
+            if key in tokens[4:i:2]:
+                raise ParseError(f"repeated step head token {key!r}", line_no)
+            if key == "y":
+                fresh_var = _int(tokens[i + 1], "fresh variable", line_no)
             else:
-                raise ParseError(f"bad step head token {rest[0]!r}", line_no)
-            rest = rest[2:]
+                offset = _rational(tokens[i + 1], "offset", line_no)
 
-        def split_items(part: str) -> List[str]:
-            return [item.strip() for item in part.split(";") if item.strip()]
-
-        premises: List[object] = []
-        for item in split_items(premises_part):
-            if rule in CLAUSE_PREMISE_RULES:
-                cl, w = _parse_weighted_clause(item, line_no)
-                premises.append(cl)
-            else:
-                constraint, w = _parse_weighted_constraint(item, line_no)
-                premises.append(constraint)
-            if w != weight:
-                raise ParseError(
-                    f"premise weight {w} differs from applied weight {weight}", line_no
-                )
-        conclusions = []
-        for item in split_items(conclusions_part):
-            constraint, w = _parse_weighted_constraint(item, line_no)
-            conclusions.append((constraint, w / weight))
-        residues = []
-        for item in split_items(residues_part):
-            cl, w = _parse_weighted_clause(item, line_no)
-            residues.append((cl, w / weight))
+        # Premises, then conclusions and residues with their weight multipliers.
+        sections: List[list] = []
+        for index, part in enumerate(parts):
+            reads_clauses = index == 2 or (index == 0 and rule in CLAUSE_PREMISE_RULES)
+            items = []
+            for tokens in map(str.split, part.split(";")):
+                if not tokens:
+                    continue
+                if reads_clauses:
+                    w = _positive(tokens[0], "weight", line_no)
+                    item = _clause(tokens[1:], line_no)
+                else:
+                    item, w = _entry(tokens, line_no)
+                if index > 0:
+                    items.append((item, w / weight))
+                elif w == weight:
+                    items.append(item)
+                else:
+                    raise ParseError(
+                        f"premise weight {w} differs from applied weight {weight}", line_no
+                    )
+            sections.append(items)
         steps.append(
-            ProofStep(
-                rule=rule,
-                weight=weight,
-                premises=tuple(premises),
-                conclusions=tuple(conclusions),
-                residues=tuple(residues),
-                offset=offset,
-                fresh_var=fresh_var,
-            )
+            ProofStep(rule, weight, *map(tuple, sections), offset=offset, fresh_var=fresh_var)
         )
     return steps

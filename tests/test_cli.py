@@ -247,6 +247,26 @@ def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert err.startswith("error: line 1:") and "Traceback" not in err
 
+    # A byte that is not UTF-8, in every file a command reads.
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"p x2x 1\n\xff\n")
+    cnf = tmp_path / "ok.cnf"
+    cnf.write_text("p cnf 5 1\n1 2 3 4 5 0\n")
+    for argv in (
+        ("compile", str(binary)),
+        ("compile", str(cnf), "--strategy", "tree", "--shapes", str(binary)),
+        ("bound", str(binary)),
+        ("oracle", str(binary)),
+        ("check", str(binary), str(proof)),
+        ("check", str(problem), str(binary)),
+        ("export-cut", str(binary)),
+        ("gadget-verify", "--family", "t", "--k", "5", "--shape", str(binary)),
+    ):
+        code, _ = invoke(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR, argv
+        assert err.startswith(f"error: {binary} is not UTF-8 text:"), (argv, err)
+
 
 def test_usage_and_parse_errors(tmp_path):
     code, _ = invoke("no-such-command")

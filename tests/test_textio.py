@@ -225,6 +225,193 @@ def test_malformed_rational_tokens_raise_parse_error(parser, text, line, message
     assert str(err.value) == f"line {line}: bad {message}"
 
 
+def test_maxcut_round_trip_random():
+    rng = random.Random(20240822)
+    for _ in range(300):
+        graph = CutGraph(node_count=rng.randint(2, 9))
+        nodes = range(1, graph.node_count + 1)
+        if rng.random() < 0.7:
+            graph.anchor_zero = rng.choice(nodes)
+        if rng.random() < 0.5:
+            graph.anchor_one = rng.choice(nodes)
+        for _ in range(rng.randint(0, 12)):  # repeated pairs merge into one edge
+            u, v = rng.sample(nodes, 2)
+            graph.add_edge(u, v, F(rng.randint(1, 30), rng.randint(1, 8)))
+        back = parse_maxcut(emit_maxcut(graph))
+        assert back.node_count == graph.node_count
+        assert (back.anchor_zero, back.anchor_one) == (graph.anchor_zero, graph.anchor_one)
+        assert back.edges == graph.edges
+
+
+# One row per malformed input: parser, text, exception class, line number (None
+# for a fault of the whole input) and the message after "line N: ", or None
+# where the message comes from a core type.
+MALFORMED = [
+    pytest.param(parse_cnf, "p cnf 2 1\n1 2\n", ParseError, 2, "clause must end with 0",
+                 id="cnf-no-terminator"),
+    pytest.param(parse_cnf, "p cnf 1 1\n1 2 0\n", ParseError, 2,
+                 "variable 2 exceeds declared count 1", id="cnf-variable-range"),
+    pytest.param(parse_cnf, "p cnf 2 2\n1 2 0\n", ParseError, None,
+                 "header declares 2 clauses, found 1", id="cnf-clause-count"),
+    pytest.param(parse_cnf, "c x\n1 2 0\n", ParseError, 2, "clause before problem header",
+                 id="cnf-before-header"),
+    pytest.param(parse_cnf, "p wcnf 2 1\n0 1 0\n", ParseError, 2,
+                 "clause weight must be positive, got 0", id="cnf-zero-weight"),
+    pytest.param(parse_cnf, "p wcnf 2 1\n1/2 1 0\n", ParseError, 2, "bad clause weight '1/2'",
+                 id="cnf-rational-weight"),
+    pytest.param(parse_cnf, "p cnf 2 1 9\n1 0\n", ParseError, 1, "bad header 'p cnf 2 1 9'",
+                 id="cnf-top-without-wcnf"),
+    pytest.param(parse_cnf, "p wcnf 2 1 x\n1 1 0\n", ParseError, 1, "bad top weight 'x'",
+                 id="cnf-top-token"),
+    pytest.param(parse_cnf, "p cnf 1 1\n1 -1 0\n", ParseError, 2, None, id="cnf-tautology"),
+    pytest.param(parse_cnf, "p cnf 2 1\n1 0 2 0\n", ParseError, 2, None, id="cnf-literal-0"),
+    pytest.param(parse_cnf, "p cnf 2 1\n\np cnf 2 1\n", ParseError, 3, "duplicate header",
+                 id="cnf-duplicate-header"),
+    pytest.param(parse_cnf, "p dnf 2 1\n", ParseError, 1, "bad header 'p dnf 2 1'",
+                 id="cnf-kind"),
+    pytest.param(parse_cnf, "p cnf x 1\n", ParseError, 1, "bad variable count 'x'",
+                 id="cnf-count-token"),
+    pytest.param(parse_cnf, "p wcnf 2 1 5\n5 1 0\n", UnsupportedFeatureError, None,
+                 "line 2: hard clauses (weight >= top 5) are not supported", id="cnf-hard"),
+    pytest.param(parse_cnf, "c only\n", ParseError, None, "missing problem header",
+                 id="cnf-no-header"),
+    pytest.param(parse_cnf, "p cnf -3 0\n", ParseError, 1,
+                 "negative count in header 'p cnf -3 0'", id="cnf-negative-vars"),
+    pytest.param(parse_cnf, "p cnf 2 -1\n", ParseError, 1,
+                 "negative count in header 'p cnf 2 -1'", id="cnf-negative-clauses"),
+    pytest.param(parse_cnf, "p cnf 20 1\n1_1 0\n", ParseError, 2, "bad literal '1_1'",
+                 id="cnf-underscore"),
+    pytest.param(parse_cnf, "p cnf \u0662 1\n\u0661 0\n", ParseError, 1,
+                 "bad variable count '\u0662'", id="cnf-arabic-indic-count"),
+    pytest.param(parse_cnf, "p cnf 2 1\n\u0661 0\n", ParseError, 2, "bad literal '\u0661'",
+                 id="cnf-arabic-indic-literal"),
+    pytest.param(parse_cnf, "p cnf 2 1\n+1 0\n", ParseError, 2, "bad literal '+1'",
+                 id="cnf-plus"),
+    pytest.param(parse_cnf, "p wcnf 2 1 1_0\n1 1 0\n", ParseError, 1, "bad top weight '1_0'",
+                 id="cnf-top-underscore"),
+    pytest.param(parse_x2x, "p x2x 2\n-1/2 1 = 1\n", ParseError, 2,
+                 "weight must be positive, got -1/2", id="x2x-negative-weight"),
+    pytest.param(parse_x2x, "p x2x 2\n1/-2 1 = 1\n", ParseError, 2, "bad weight '1/-2'",
+                 id="x2x-negative-denominator"),
+    pytest.param(parse_x2x, "p x2x 2\n1.5 1 = 1\n", ParseError, 2, "bad weight '1.5'",
+                 id="x2x-decimal-weight"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 1 2\n", ParseError, 2,
+                 "entry line must end with '= <parity>'", id="x2x-no-equals"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 = 1 2\n", ParseError, 2,
+                 "entry line must end with '= <parity>'", id="x2x-equals-early"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 1 = 01\n", ParseError, 2,
+                 "parity must be 0 or 1, got '01'", id="x2x-parity"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 a = 1\n", ParseError, 2, "bad variable 'a'",
+                 id="x2x-variable-token"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 0 = 1\n", ParseError, 2, None, id="x2x-variable-0"),
+    pytest.param(parse_x2x, "p x2x 3\n1/2 1 2 3 = 1\n", ParseError, 2, None, id="x2x-arity"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 1_2 = 1\n", ParseError, 2, "bad variable '1_2'",
+                 id="x2x-underscore-variable"),
+    pytest.param(parse_x2x, "p x2x 2\nf 1/2\nf 1/2\n", ParseError, 3, "duplicate floor line",
+                 id="x2x-duplicate-floor"),
+    pytest.param(parse_x2x, "p x2x 2\nf -1/2\n", ParseError, 2, "floor must be non-negative",
+                 id="x2x-negative-floor"),
+    pytest.param(parse_x2x, "p x2x\n", ParseError, 1, "bad header 'p x2x'", id="x2x-header"),
+    pytest.param(parse_x2x, "p x2x 2\np x2x 2\n", ParseError, 2, "duplicate header",
+                 id="x2x-duplicate-header"),
+    pytest.param(parse_x2x, "", ParseError, None, "missing header", id="x2x-no-header"),
+    pytest.param(parse_x2x, "p x2x -5\n", ParseError, 1,
+                 "negative count in header 'p x2x -5'", id="x2x-negative-vars"),
+    pytest.param(parse_x2x, "p x2x 2\n+1/2 1 = 1\n", ParseError, 2, "bad weight '+1/2'",
+                 id="x2x-plus-weight"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 +1 = 1\n", ParseError, 2, "bad variable '+1'",
+                 id="x2x-plus-variable"),
+    pytest.param(parse_x2x, "p x2x 2\n1/2 \u0661 = 1\n", ParseError, 2,
+                 "bad variable '\u0661'", id="x2x-arabic-indic-variable"),
+    pytest.param(parse_x2x, "p x2x 2\n\u0661/2 1 = 1\n", ParseError, 2,
+                 "bad weight '\u0661/2'", id="x2x-arabic-indic-weight"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1 1 1/1\n", ParseError, 2, "self-loop on node 1",
+                 id="cut-self-loop"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1 2 0/1\n", ParseError, 2,
+                 "edge weight must be positive, got 0", id="cut-zero-weight"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1 2\n", ParseError, 2,
+                 "edge line is 'e <u> <v> <num>/<den>'", id="cut-edge-shape"),
+    pytest.param(parse_maxcut, "e 1 2 1/1\n", ParseError, 1, "edge before header",
+                 id="cut-edge-before-header"),
+    pytest.param(parse_maxcut, "p cut 2 1\nx\n", ParseError, 2, "unrecognized line 'x'",
+                 id="cut-unrecognized"),
+    pytest.param(parse_maxcut, "p cut 2 2\ne 1 2 1/1\ne 2 1 1/1\n", ParseError, None,
+                 "header declares 2 edges, found 1", id="cut-parallel-edges-count"),
+    pytest.param(parse_maxcut, "p graph 2 1\n", ParseError, 1, "bad header 'p graph 2 1'",
+                 id="cut-kind"),
+    pytest.param(parse_maxcut, "p cut 2 1\np cut 2 1\n", ParseError, 2, "duplicate header",
+                 id="cut-duplicate-header"),
+    pytest.param(parse_maxcut, "c anchor0\n", ParseError, None, "missing header",
+                 id="cut-no-header"),
+    pytest.param(parse_maxcut, "p cut -1 0\n", ParseError, 1,
+                 "negative count in header 'p cut -1 0'", id="cut-negative-nodes"),
+    pytest.param(parse_maxcut, "p cut 2 -1\n", ParseError, 1,
+                 "negative count in header 'p cut 2 -1'", id="cut-negative-edges"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 0 1 1/1\n", ParseError, 2,
+                 "edge endpoint 0 outside 1..2", id="cut-endpoint-0"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1 5 1/1\n", ParseError, 2,
+                 "edge endpoint 5 outside 1..2", id="cut-endpoint-above"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne -1 2 1/1\n", ParseError, 2,
+                 "edge endpoint -1 outside 1..2", id="cut-endpoint-negative"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1_0 2 1/1\n", ParseError, 2,
+                 "bad edge endpoint '1_0'", id="cut-endpoint-underscore"),
+    pytest.param(parse_maxcut, "p cut 2 1\nc anchor0 99\ne 1 2 1/1\n", ParseError, 2,
+                 "anchor node 99 outside 1..2", id="cut-anchor-above"),
+    pytest.param(parse_maxcut, "p cut 2 1\ne 1 2 1/1\nc anchor1 0\n", ParseError, 3,
+                 "anchor node 0 outside 1..2", id="cut-anchor-0"),
+    pytest.param(parse_maxcut, "c anchor0 7\np cut 2 1\ne 1 2 1/1\n", ParseError, 1,
+                 "anchor before header", id="cut-anchor-before-header"),
+    pytest.param(parse_proof, "s contra w -1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+                 ParseError, 1, "applied weight must be positive, got -1/1",
+                 id="proof-negative-weight"),
+    pytest.param(parse_proof, "s contra w 1/1 | | | |\n", ParseError, 1,
+                 "step line needs 4 '|' separated sections", id="proof-five-sections"),
+    pytest.param(parse_proof, "s contra 1/1 | | |\n", ParseError, 1,
+                 "bad step head 's contra 1/1'", id="proof-head"),
+    pytest.param(parse_proof, "s contra w 1/1 q 1 | | |\n", ParseError, 1,
+                 "bad step head token 'q'", id="proof-head-token"),
+    pytest.param(parse_proof, "s contra w 1/1 y | | |\n", ParseError, 1,
+                 "bad step head token 'y'", id="proof-head-dangling"),
+    pytest.param(parse_proof, "s contra w 1/1 | 1/2 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+                 ParseError, 1, "premise weight 1/2 differs from applied weight 1",
+                 id="proof-premise-weight"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 2 | 1/2 1 = 1 |\n", ParseError, 1,
+                 "clause must end with 0", id="proof-clause-terminator"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 x 0 | 1/2 1 = 1 |\n", ParseError,
+                 1, "bad literal 'x'", id="proof-clause-literal"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 -1 0 | 1/2 1 = 1 |\n",
+                 ParseError, 1, None, id="proof-clause-tautology"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 0/1 1 2 0 | 1/2 1 = 1 |\n", ParseError,
+                 1, "weight must be positive, got 0/1", id="proof-clause-weight"),
+    pytest.param(parse_proof, "c\ns contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 2 |\n",
+                 ParseError, 2, "parity must be 0 or 1, got '2'", id="proof-conclusion-parity"),
+    pytest.param(parse_proof, "s contra w 1_0/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+                 ParseError, 1, "bad applied weight '1_0/1'", id="proof-underscore-weight"),
+    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 y 10 | 1/1 1 2 3 0 | |\n", ParseError, 1,
+                 "repeated step head token 'y'", id="proof-repeated-fresh"),
+    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 o 1/1 y 10 | 1/1 1 2 3 0 | |\n", ParseError,
+                 1, "repeated step head token 'y'", id="proof-repeated-fresh-apart"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 o 1/2 | 1/1 1 2 0 | 1/2 1 = 1 |\n",
+                 ParseError, 1, "repeated step head token 'o'", id="proof-repeated-offset"),
+    pytest.param(parse_proof, "s contra w 1/1 o +1/2 | | |\n", ParseError, 1,
+                 "bad offset '+1/2'", id="proof-plus-offset"),
+    pytest.param(parse_proof, "s contra w 1/1 | 1/1 \u0661 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+                 ParseError, 1, "bad variable '\u0661'", id="proof-arabic-indic-variable"),
+    pytest.param(parse_proof, "s contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 | 1/1 1_2 0\n",
+                 ParseError, 1, "bad literal '1_2'", id="proof-underscore-residue"),
+]
+
+
+@pytest.mark.parametrize("parser,text,error,line,message", MALFORMED)
+def test_malformed_input_table(parser, text, error, line, message):
+    with pytest.raises(error) as err:
+        parser(text)
+    assert type(err.value) is error
+    assert getattr(err.value, "line", None) == line
+    if message is not None:
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # .x2xproof
 
