@@ -14,9 +14,9 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Dict, Sequence
 
-from .core import Max2XorError, clause, format_rational
+from .core import Max2XorError, ParseError, ShapeError, clause, format_rational
 from .gadgets import (
     GadgetParams,
     TreeShape,
@@ -33,6 +33,7 @@ from .gadgets import (
 from .oracle import MAX_ORACLE_VARS, brute_opt_cost_items, verify_gadget
 from .proofs import bound_to_original, check_proof, saturate
 from .textio import (
+    _records,
     emit_maxcut,
     emit_proof,
     emit_x2x,
@@ -83,12 +84,15 @@ def _parse_mode(text: str):
     raise Max2XorError(f"unknown mode {text!r}; use discard, retranslate[=N], or compact")
 
 
-def _load_shapes(path: str) -> dict:
+def _load_shapes(path: str) -> Dict[int, TreeShape]:
+    """Shape i of a shape file, for clause i: the file's i-th line that is
+    neither blank nor a ``c`` comment."""
     shapes = {}
-    for index, line in enumerate(_read(path).splitlines()):
-        line = line.strip()
-        if line and not line.startswith("c"):
+    for index, (line_no, line) in enumerate(_records(_read(path), ("c",))):
+        try:
             shapes[index] = TreeShape.parse(line)
+        except ShapeError as exc:
+            raise ParseError(f"bad shape: {exc}", line_no) from None
     return shapes
 
 
@@ -134,7 +138,8 @@ def _cmd_bound(args, out) -> int:
         print(f"shift {format_rational(report.shift)}", file=out)
     if args.verbose:
         for round_no, (budget, used) in enumerate(summary.round_stats, start=1):
-            print(f"round {round_no}: {used} steps over {budget} entries", file=out)
+            dropped = " (dropped: bound did not rise)" if round_no > summary.rounds else ""
+            print(f"round {round_no}: {used} steps over {budget} entries{dropped}", file=out)
     if report is None:
         print(f"UNKNOWN lb={format_rational(max(Fraction(0), summary.bound_m))}", file=out)
         return EXIT_OK
@@ -220,10 +225,9 @@ def _resolve_shape(args, k: int) -> TreeShape:
         return TreeShape.left_comb(k)
     if spec == "random":
         return TreeShape.random(k, random.Random(args.seed))
-    lines = [l for l in _read(spec).splitlines() if l.strip()]
-    if not lines:
-        raise Max2XorError(f"shape file {spec} is empty")
-    shape = TreeShape.parse(lines[0])
+    shape = _load_shapes(spec).get(0)
+    if shape is None:
+        raise Max2XorError(f"shape file {spec} holds no shape")
     if shape.k != k:
         raise Max2XorError(f"shape file has {shape.k} leaves, expected {k}")
     return shape

@@ -162,6 +162,8 @@ class TreeShape:
                 pos += 1
             if pos == start:
                 raise ShapeError(f"expected leaf index in shape near {text[pos:pos + 10]!r}")
+            if pos - start > len(str(end)):  # more digits than the text has leaves
+                raise ShapeError(f"leaf index {text[start:start + 10]}... exceeds the leaf count")
             node: ShapeNode = int(text[start:pos])
             while open_nodes:
                 open_nodes[-1].append(node)

@@ -25,7 +25,7 @@ the same way.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -601,6 +601,9 @@ class ProofSummary:
     weight (the final floor, which includes the input floor) minus the
     accumulated rule offsets.  Exactly
     ``bound_m + Cost(residual and residues) = Cost(input)``.
+
+    ``rounds`` counts the rounds in the returned proof; ``round_stats`` has
+    one entry per round run, so a dropped last round shows as an extra pair.
     """
 
     bound_m: Fraction
@@ -686,6 +689,13 @@ def saturate(
     fresh-variable chain rules instead of residue clauses.  Per round, rule
     applications are budgeted by the entry count at the round's start, which
     enforces the linear derivation length.
+
+    Only the ``xlate`` steps at a round's start lower the bound, so the best
+    proof prefix ends at a round end.  Retranslation stops after the first
+    round whose end bound does not rise above the previous one (a tie keeps
+    the shorter proof) and returns the proof and summary as of that previous
+    round.  ``rounds`` counts the rounds kept; ``round_stats`` has one
+    ``(budget, used)`` pair for every round run, dropped or not.
     """
     if mode not in MODES:
         raise Max2XorError(f"unknown mode {mode!r}; pick one of {MODES}")
@@ -697,6 +707,7 @@ def saturate(
     round_stats: List[Tuple[int, int]] = []
     rounds = 0
     total_rounds = max_rounds if mode == "retranslate" else 1
+    kept: Optional[ProofSummary] = None  # the last round end, when a round followed it
 
     while True:
         rounds += 1
@@ -721,15 +732,18 @@ def saturate(
                 break
             used += _contract_cycle(state, cycle, mode == "compact", alloc, steps)
         round_stats.append((budget, used))
-        if mode != "retranslate" or rounds >= total_rounds:
-            break
-        if not any(cl.k in (2, 3) for cl in state.residues):
-            break
-
-    summary = _summarize(
-        state, alloc.next_id - 1, rounds, len(steps), tuple(round_stats), provenance
-    )
-    return summary, steps
+        if kept is not None and state.floor - state.offset_total <= kept.bound_m:
+            return replace(kept, round_stats=tuple(round_stats)), steps[: kept.steps]
+        summary = _summarize(
+            state, alloc.next_id - 1, rounds, len(steps), tuple(round_stats), provenance
+        )
+        if (
+            mode != "retranslate"
+            or rounds >= total_rounds
+            or not any(cl.k in (2, 3) for cl in state.residues)
+        ):
+            return summary, steps
+        kept = summary
 
 
 # ---------------------------------------------------------------------------

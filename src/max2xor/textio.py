@@ -282,9 +282,17 @@ class CutGraph:
 
 
 def emit_maxcut(graph: CutGraph) -> str:
+    """The ``.cut`` text of ``graph``; every edge end and anchor must be a node."""
+    nodes = range(1, graph.node_count + 1)
+    for anchor in (graph.anchor_zero, graph.anchor_one):
+        if anchor is not None and anchor not in nodes:
+            raise Max2XorError(f"anchor node {anchor} outside 1..{graph.node_count}")
     for u, v in graph.edges:
         if u == v:
             raise Max2XorError(f"self-loop on node {u}")
+        for end in (u, v):
+            if end not in nodes:
+                raise Max2XorError(f"edge endpoint {end} outside 1..{graph.node_count}")
     lines = [f"p cut {graph.node_count} {len(graph.edges)}"]
     if graph.anchor_zero is not None:
         lines.append(f"c anchor0 {graph.anchor_zero}")

@@ -7,8 +7,8 @@ from fractions import Fraction
 from max2xor import cli
 from max2xor.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, EXIT_UNSAT, run
 from max2xor.core import xor, normalize
-from max2xor.gadgets import GadgetParams
-from max2xor.textio import emit_x2x, parse_x2x
+from max2xor.gadgets import GadgetParams, TreeShape, compile_maxsat
+from max2xor.textio import emit_x2x, parse_cnf, parse_x2x
 
 F = Fraction
 
@@ -91,7 +91,7 @@ def test_bound_verbose_prints_rounds_for_x2x_and_cnf(tmp_path):
         f"wrote {tmp_path / 'tri.x2xproof'}",
         "m 1/1",
         "round 1: 2 steps over 3 entries",
-        "round 2: 8 steps over 11 entries",
+        "round 2: 8 steps over 11 entries (dropped: bound did not rise)",
         "UNKNOWN lb=1/1",
     ]
 
@@ -235,6 +235,51 @@ def test_compile_tree_strategy_with_shapes_file(tmp_path):
     assert code == EXIT_OK
     problem = parse_x2x((tmp_path / "wide.x2x").read_text())
     assert len(problem.entries) == 12  # 3(k-1)
+
+
+def test_shape_files_skip_comments_and_blank_lines(tmp_path):
+    # shape i is the i-th line that is neither blank nor a comment
+    shapes = tmp_path / "comb.txt"
+    shapes.write_text("c left comb\n((1 2) 3)\n")
+    assert cli._load_shapes(str(shapes)) == {0: TreeShape.left_comb(3)}
+    code, output = invoke("gadget-verify", "--family", "t", "--k", "3", "--shape", str(shapes))
+    assert (code, output) == (EXIT_OK, "certified alpha=2/1 beta=3/1\n")
+
+    cnf = tmp_path / "two.cnf"
+    cnf.write_text("p cnf 5 2\n1 2 3 4 5 0\n-1 -2 -3 -4 -5 0\n")
+    shapes.write_text("c first clause\n\n((1 2) (3 (4 5)))\nc second clause\n(1 (2 (3 (4 5))))\n")
+    code, _ = invoke("compile", str(cnf), "--strategy", "tree", "--shapes", str(shapes))
+    assert code == EXIT_OK
+    expected = compile_maxsat(
+        parse_cnf(cnf.read_text()),
+        strategy="tree",
+        shapes={0: TreeShape.parse("((1 2) (3 (4 5)))"), 1: TreeShape.parse("(1 (2 (3 (4 5))))")},
+    )
+    assert (tmp_path / "two.x2x").read_text() == emit_x2x(expected.problem)
+
+
+def test_bad_shape_line_reports_its_line_number(tmp_path, capsys):
+    shapes = tmp_path / "bad.txt"
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    for text, message in (
+        ("c comment\n\n((1 2) 3\n", "error: line 3: bad shape: expected ')' in shape\n"),
+        ("((1 2) 3)\n(1 " + "2" * 5000 + ")\n", "error: line 2: bad shape: leaf index "),
+    ):
+        shapes.write_text(text)
+        for argv in (
+            ("compile", str(cnf), "--strategy", "tree", "--shapes", str(shapes)),
+            ("gadget-verify", "--family", "t", "--k", "3", "--shape", str(shapes)),
+        ):
+            assert invoke(*argv) == (EXIT_ERROR, ""), argv
+            assert capsys.readouterr().err.startswith(message), argv
+
+    shapes.write_text("c no shape here\n\n")
+    assert invoke("gadget-verify", "--family", "t", "--k", "3", "--shape", str(shapes)) == (
+        EXIT_ERROR,
+        "",
+    )
+    assert capsys.readouterr().err == f"error: shape file {shapes} holds no shape\n"
 
 
 def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):

@@ -454,24 +454,70 @@ def test_saturate_round_budget_respected():
                 assert used <= budget
 
 
-def test_retranslate_consumes_residues_and_keeps_identity():
-    # two overlapping odd triangles leave ternary residues to feed round two
-    items = [
-        (xor([1, 2], 1), F(1)),
-        (xor([2, 3], 1), F(1)),
-        (xor([1, 3], 1), F(1)),
-        (xor([3, 4], 1), F(1)),
-        (xor([1, 4], 1), F(1)),
-    ]
-    summary, steps = saturate(items, mode="retranslate", max_rounds=2)
-    assert any(s.rule == "xlate3" for s in steps)
-    assert summary.rounds == 2
-    cost_in = brute_opt_cost_items(items).cost
-    rest = brute_opt_cost_items(
+# Retranslating round one's residues raises the bound from 3 to 4, the
+# optimum; round three ties at 4 and is dropped.
+PAYING = normalize(
+    [
+        (xor([1], 0), F(3)),
+        (xor([2], 0), F(2)),
+        (xor([3], 1), F(3)),
+        (xor([1, 3], 0), F(1)),
+        (xor([1, 3], 1), F(2)),
+        (xor([1, 4], 0), F(2)),
+        (xor([2, 4], 0), F(3)),
+        (xor([3, 4], 0), F(3)),
+    ],
+    var_count=4,
+)
+
+
+def _leftover_cost(summary):
+    return brute_opt_cost_items(
         list(summary.residual.sorted_entries()) + list(summary.residue_clauses),
         floor=summary.residual.floor,
-    )
-    assert summary.bound_m + rest.cost == cost_in
+    ).cost
+
+
+def test_retranslate_consumes_residues_and_keeps_identity():
+    summary, steps = saturate(PAYING, mode="retranslate")
+    assert {"xlate2", "xlate3"} <= {s.rule for s in steps}
+    assert (summary.bound_m, summary.rounds, len(summary.round_stats)) == (4, 2, 3)
+    assert saturate(PAYING)[0].bound_m == 3
+    assert summary.bound_m + _leftover_cost(summary) == brute_opt_cost(PAYING).cost
+
+
+def test_retranslate_keeps_the_last_round_that_raised_the_bound():
+    # round-end bounds 28, 30, 27: round three runs, lowers the bound and is dropped
+    problem = compile_maxsat(parse_cnf(_random_wcnf(8, 5, 18, 3))).problem
+    one, _ = saturate(problem, mode="retranslate", max_rounds=1)
+    two, two_steps = saturate(problem, mode="retranslate", max_rounds=2)
+    three, three_steps = saturate(problem, mode="retranslate", max_rounds=3)
+    assert (one.bound_m, two.bound_m) == (28, 30)
+    assert three_steps == two_steps
+    assert (three.rounds, three.steps) == (2, len(two_steps))
+    assert three.round_stats[:2] == two.round_stats and len(three.round_stats) == 3
+    assert replace(three, round_stats=()) == replace(two, round_stats=())
+    verdict = check_proof(problem, three_steps, three)
+    assert verdict.accepted and verdict.summary.rounds == 2
+
+
+def test_saturate_properties_on_random_problems():
+    rng = random.Random(20261018)
+    for trial in range(80):
+        problem = PAYING if trial == 0 else _random_problem(rng)
+        cost_in = brute_opt_cost(problem).cost
+        for mode in MODES:
+            summary, steps = saturate(problem, mode=mode)
+            assert summary.bound_m + _leftover_cost(summary) == cost_in, (trial, mode)
+            verdict = check_proof(problem, steps, summary)
+            assert verdict.accepted, (trial, mode, verdict.reason)
+            assert verdict.summary.rounds == summary.rounds, (trial, mode)
+            if mode != "retranslate":
+                continue
+            assert summary.bound_m >= saturate(problem)[0].bound_m
+            for r in range(1, len(summary.round_stats) + 1):
+                capped, _ = saturate(problem, mode=mode, max_rounds=r)
+                assert summary.bound_m >= capped.bound_m, (trial, r)
 
 
 def test_compact_mode_exercises_compact_rules():
@@ -482,12 +528,7 @@ def test_compact_mode_exercises_compact_rules():
     assert any(s.rule.startswith("compact") for s in steps)
     assert summary.offset_total > 0
     assert summary.bound_m == summary.floor_total - summary.offset_total
-    cost_in = brute_opt_cost_items(items).cost
-    rest = brute_opt_cost_items(
-        list(summary.residual.sorted_entries()) + list(summary.residue_clauses),
-        floor=summary.residual.floor,
-    )
-    assert summary.bound_m + rest.cost == cost_in
+    assert summary.bound_m + _leftover_cost(summary) == brute_opt_cost_items(items).cost
 
 
 def _random_wcnf(seed, n_vars, n_clauses, width):
@@ -503,22 +544,27 @@ def _random_wcnf(seed, n_vars, n_clauses, width):
 
 # SHA-256 prefixes of "<bound_m>\n<proof log>" from the full-depth,
 # every-source cycle search; the early-stopping search must reproduce them.
+# Retranslation pays only on (8, 5, 18, 3); on the others it keeps round one
+# alone, so their retranslate digests equal their discard digests.
 PROOF_LOG_DIGESTS = {
     ((1, 5, 21, 3), "discard"): "23fdac285653d354",
-    ((1, 5, 21, 3), "retranslate"): "4b4af5ea195c009b",
+    ((1, 5, 21, 3), "retranslate"): "23fdac285653d354",
     ((1, 5, 21, 3), "compact"): "f0207c68e038353b",
     ((2, 6, 14, 3), "discard"): "5fef5038539c6649",
-    ((2, 6, 14, 3), "retranslate"): "1de44c8d5db4b605",
+    ((2, 6, 14, 3), "retranslate"): "5fef5038539c6649",
     ((2, 6, 14, 3), "compact"): "b5128d2ea8f99b84",
     ((3, 5, 20, 2), "discard"): "3ceb06e57fe10430",
-    ((3, 5, 20, 2), "retranslate"): "86fd407e4ebe75b5",
+    ((3, 5, 20, 2), "retranslate"): "3ceb06e57fe10430",
     ((3, 5, 20, 2), "compact"): "aae88019a420ecb9",
     ((4, 6, 24, 2), "discard"): "a890484969b49b36",
-    ((4, 6, 24, 2), "retranslate"): "4f53dce7cceff8bf",
+    ((4, 6, 24, 2), "retranslate"): "a890484969b49b36",
     ((4, 6, 24, 2), "compact"): "a890484969b49b36",
     ((5, 4, 17, 3), "discard"): "f6265c6049fdc1b1",
-    ((5, 4, 17, 3), "retranslate"): "78833b0d31d66a75",
+    ((5, 4, 17, 3), "retranslate"): "f6265c6049fdc1b1",
     ((5, 4, 17, 3), "compact"): "f5161c6eefb9a20b",
+    ((8, 5, 18, 3), "discard"): "24cca50426fb71bf",
+    ((8, 5, 18, 3), "retranslate"): "bcf3a4e0d916a8ef",
+    ((8, 5, 18, 3), "compact"): "164ad65ada0b9b6f",
 }
 
 
@@ -595,10 +641,11 @@ def test_checker_rejects_tampered_residue_weight():
 
 def test_checker_rejects_tampered_fields_everywhere():
     rng = random.Random(901)
+    cases = [(_random_problem(rng), MODES[trial % 3]) for trial in range(60)]
+    cases.append((PAYING, "retranslate"))
     tampered_total = 0
-    for trial in range(60):
-        problem = _random_problem(rng)
-        mode = ("discard", "retranslate", "compact")[trial % 3]
+    tampered_rules = set()
+    for problem, mode in cases:
         summary, steps = saturate(problem, mode=mode, max_rounds=2)
         for index, step in enumerate(steps):
             mutations = [
@@ -640,7 +687,9 @@ def test_checker_rejects_tampered_fields_everywhere():
                 assert not verdict.accepted
                 assert verdict.failing_step == index, (mode, index, mutant, verdict.reason)
                 tampered_total += 1
+            tampered_rules.add(step.rule)
     assert tampered_total > 50
+    assert {"xlate2", "xlate3"} <= tampered_rules
 
 
 @pytest.fixture
@@ -690,7 +739,9 @@ def _one_step_mutants(steps):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
-    problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
+    # retranslation keeps its later rounds only where they pay
+    case = (8, 5, 18, 3) if mode == "retranslate" else (5, 4, 17, 3)
+    problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
     summary, steps = saturate(problem, mode=mode)
     assert check_proof(problem, steps, summary).accepted  # every sound shape is cached
     warm = []
@@ -699,6 +750,8 @@ def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
         broken[index] = mutant
         warm.append((index, broken, check_proof(problem, broken, summary)))
     assert len(warm) > 20
+    if mode == "retranslate":
+        assert {"xlate2", "xlate3"} <= {steps[index].rule for index, _, _ in warm}
     mutated_shape_hits = 0
     for index, broken, verdict in warm:
         assert not verdict.accepted
@@ -744,13 +797,13 @@ def test_checker_tables_an_unsound_rule_after_its_sound_shape_was_cached(
 
 
 def test_checker_counts_truth_tables_and_shape_hits(cold_shapes):
-    problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
+    problem = compile_maxsat(parse_cnf(_random_wcnf(8, 5, 18, 3))).problem
     summary, steps = saturate(problem, mode="retranslate")
     cold = check_proof(problem, steps, summary)
-    assert cold.stats == {"truth_tables": 27, "shape_hits": 446}
-    assert len(cold_shapes) == 27
+    assert cold.stats == {"truth_tables": 28, "shape_hits": 212}
+    assert len(cold_shapes) == 28
     warm = check_proof(problem, steps, summary)
-    assert warm.stats == {"truth_tables": 0, "shape_hits": 473}
+    assert warm.stats == {"truth_tables": 0, "shape_hits": 240}
     assert warm == cold  # the counts take no part in comparison
 
 

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from max2xor.core import OrClause, ParseError, UnsupportedFeatureError, clause, normalize, xor
+from max2xor.core import (
+    Max2XorError,
+    OrClause,
+    ParseError,
+    UnsupportedFeatureError,
+    clause,
+    normalize,
+    xor,
+)
 from max2xor.gadgets import to_maxcut
 from max2xor.proofs import saturate
 from max2xor.textio import (
@@ -174,6 +182,17 @@ def test_maxcut_rejects_self_loop():
     graph = CutGraph(node_count=2)
     with pytest.raises(Exception):
         graph.add_edge(1, 1, F(1))
+
+
+def test_emit_maxcut_rejects_nodes_outside_the_graph():
+    graph = CutGraph(node_count=2)
+    graph.add_edge(1, 5, 1)
+    with pytest.raises(Max2XorError, match=r"edge endpoint 5 outside 1\.\.2"):
+        emit_maxcut(graph)
+    for anchor in (0, 3):
+        graph = CutGraph(node_count=2, anchor_zero=anchor)
+        with pytest.raises(Max2XorError, match=rf"anchor node {anchor} outside 1\.\.2"):
+            emit_maxcut(graph)
 
 
 MALFORMED_CUT_AND_PROOF = [
