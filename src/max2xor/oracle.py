@@ -1,9 +1,8 @@
 """Exhaustive ground-truth engines.
 
-Two oracles: exact optimum / cost of a weighted constraint multiset by full
-assignment enumeration, and certification of claimed translation parameters
-per the (alpha, beta) definition by exhaustive search over auxiliary-variable
-extensions.
+Two oracles: exact optimum / cost of a weighted constraint multiset, and
+certification of claimed translation parameters per the (alpha, beta)
+definition by exhaustive search over auxiliary-variable extensions.
 
 Both run on one kernel, ``_unsat_chunks``, which enumerates assignments in
 chunks of ``2**_CHUNK_BITS`` and yields each chunk's unsatisfied weight:
@@ -22,18 +21,29 @@ Memory per call is bounded by the chunk, not by ``2**n``.  Assignment index
 i holds the variable values most significant first, so chunks arrive in
 ascending lexicographic order; the first argmin within a chunk and a strict
 ``<`` across chunks therefore keep the lexicographically least witness.
+
+``brute_opt_cost_items`` conditions on a prefix of the variables (cycle-cutset
+conditioning): with the first ``p`` fixed, the rest fall apart into components
+that share no item, such as each translated clause's auxiliaries.  The
+prefix-only items are enumerated once over the ``2**p`` prefix rows and each
+component over ``prefix + component``, keeping its least value per row;
+``_split`` picks the ``p`` that minimises ``2**p * (1 + sum of 2**|c|)``, and
+full enumeration is ``p = n``.  The witness stays lexicographically least: the
+prefix bits are the most significant, so the first least row comes first, and
+the least optimal suffix is each independent component's first argmin there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    Max2XorError,
     OrClause,
     SizeGuardError,
     X2XProblem,
@@ -52,6 +62,8 @@ class OracleResult:
     cost: Fraction
     opt_witness: Dict[int, int]
     cost_witness: Dict[int, int]
+    # integer work counts: ``assignments`` enumerated, ``prefix`` bits, ``components``
+    stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -76,20 +88,13 @@ def _collect_vars(items: Sequence[WeightedItem]) -> List[int]:
     return sorted(seen)
 
 
-def _scale_factor(weights: Sequence[Fraction]) -> int:
-    scale = 1
-    for w in weights:
-        scale = scale // math.gcd(scale, w.denominator) * w.denominator
-    return scale
-
-
 def _scaled(
     items: Sequence[WeightedItem], *extra: Fraction
 ) -> Tuple[List[Fraction], int, List[int]]:
     """Exact item weights, the lcm of their and ``extra``'s denominators, and
     the item weights times that scale."""
     weights = [Fraction(w) for _, w in items]
-    scale = _scale_factor(weights + list(extra))
+    scale = math.lcm(*(w.denominator for w in weights + list(extra)))
     return weights, scale, [int(w * scale) for w in weights]
 
 
@@ -169,6 +174,56 @@ def _index_to_assignment(index: int, order: Sequence[int]) -> Dict[int, int]:
     return {v: (index >> (n - 1 - j)) & 1 for j, v in enumerate(order)}
 
 
+def _row_minima(chunks, row_bits: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Least value and its first index within each row of ``chunks``.
+
+    Row r is the run of ``2**row_bits`` consecutive assignment indices from
+    ``r << row_bits``; a chunk holds whole rows or a piece of one row.
+    """
+    least = argmin = None
+    mask = (1 << row_bits) - 1
+    for start, unsat in chunks:
+        block = unsat.reshape(-1, min(mask + 1, unsat.size))
+        j = block.argmin(axis=1)
+        value = block[np.arange(j.size), j]
+        if least is None:
+            least, argmin = np.empty(rows, dtype=unsat.dtype), np.empty(rows, dtype=np.int64)
+        row, within = start >> row_bits, start & mask
+        if not within:  # the chunk starts its rows
+            least[row : row + j.size], argmin[row : row + j.size] = value, j
+        elif value[0] < least[row]:  # a later piece of a row over several chunks
+            least[row], argmin[row] = value[0], within + j[0]
+    return least, argmin
+
+
+def _split(item_vars: Sequence[Tuple[int, ...]], order: Sequence[int]):
+    """``(assignments, p, components)``: the prefix length ``p`` and the
+    connected components of the variables after it that enumerate the fewest
+    assignments, ``2**p * (1 + sum of 2**|c|)``.  A split needs more than
+    ``_CHUNK_BITS`` variables and ``p <= _CHUNK_BITS``, so each per-row array
+    fits one chunk."""
+    n = len(order)
+    best = (1 << n, n, [])
+    if n <= _CHUNK_BITS:
+        return best
+    neighbours: Dict[int, set] = {v: set() for v in order}
+    for vs in item_vars:
+        for v in vs:
+            neighbours[v].update(vs)
+    component_of: Dict[int, List[int]] = {}
+    spread = 0  # sum of 2**|c| over the components of order[p:]
+    for p in range(n - 1, -1, -1):
+        v = order[p]
+        joined = {id(c): c for c in map(component_of.get, neighbours[v]) if c is not None}.values()
+        merged = sorted([v, *(u for c in joined for u in c)])
+        spread += (1 << len(merged)) - sum(1 << len(c) for c in joined)
+        component_of.update(dict.fromkeys(merged, merged))
+        if p <= _CHUNK_BITS and (1 << p) * (1 + spread) < best[0]:
+            components = {id(c): c for c in component_of.values()}.values()
+            best = ((1 << p) * (1 + spread), p, sorted(components))
+    return best
+
+
 def brute_opt_cost_items(
     items: Sequence[WeightedItem],
     floor: Fraction = ZERO,
@@ -176,32 +231,55 @@ def brute_opt_cost_items(
 ) -> OracleResult:
     """Exact optimum and cost of a weighted constraint multiset.
 
-    Enumerates every assignment of the occurring variables in lexicographic
-    order; witnesses are the lexicographically least optimizers.  The maximum
-    satisfied weight and the minimum unsatisfied weight are attained by the
-    same assignment, so the two witnesses coincide.
+    Finds the least unsatisfied weight over every assignment of the occurring
+    variables, by prefix conditioning (see the module docstring); witnesses
+    are the lexicographically least optimizers.  The maximum satisfied weight
+    and the minimum unsatisfied weight are attained by the same assignment,
+    so the two witnesses coincide.
     """
     order = _collect_vars(items)
     _guard(len(order), max_vars)
     floor = Fraction(floor)
     weights, scale, scaled = _scaled(items)
+    item_vars = [_item_vars(constraint) for constraint, _ in items]
+    assignments, p, components = _split(item_vars, order)
+    prefix = order[:p]
 
-    best_unsat: Optional[int] = None
-    best_index = 0
-    for start, unsat in _unsat_chunks(items, scaled, order):
-        j = int(np.argmin(unsat))
-        value = int(unsat[j])
-        if best_unsat is None or value < best_unsat:
-            best_unsat = value
-            best_index = start + j
+    # An item goes with the component of its suffix variables; the last part
+    # holds the prefix-only items.
+    home = {v: i for i, component in enumerate(components) for v in component}
+    parts: List[Tuple[list, list]] = [([], []) for _ in range(len(components) + 1)]
+    for item, w, vs in zip(items, scaled, item_vars):
+        part = parts[next((home[v] for v in vs if v in home), -1)]
+        part[0].append(item)
+        part[1].append(w)
+    minima = [
+        _row_minima(_unsat_chunks(*part, prefix + component), len(component), 1 << p)
+        for part, component in zip(parts, components)
+    ]
 
-    min_unsat = Fraction(best_unsat, scale)
-    witness = _index_to_assignment(best_index, order)
+    dtype = _dtype_for(sum(abs(w) for w in scaled))
+
+    def totals():  # per prefix row: its prefix-only weight plus each component's least
+        for start, unsat in _unsat_chunks(*parts[-1], prefix):
+            total = unsat.astype(dtype, copy=False)
+            for least, _ in minima:
+                total += least[start : start + total.size]
+            yield start, total
+
+    least, argmin = _row_minima(totals(), p, 1)  # all prefix rows as one row
+    best_row = int(argmin[0])
+    min_unsat = Fraction(int(least[0]), scale)
+    witness = _index_to_assignment(best_row, prefix)
+    for (_, argmin), component in zip(minima, components):
+        witness.update(_index_to_assignment(int(argmin[best_row]), component))
+    witness = {v: witness[v] for v in order}
     return OracleResult(
         opt=sum(weights, ZERO) - min_unsat,
         cost=floor + min_unsat,
         opt_witness=dict(witness),
         cost_witness=dict(witness),
+        stats=dict(assignments=assignments, prefix=p, components=len(components)),
     )
 
 
@@ -220,6 +298,9 @@ def unsat_weight_profile(
     order = list(var_order)
     _guard(len(order), max_vars)
     known = set(order)
+    if len(known) < len(order):
+        repeated = next(v for i, v in enumerate(order) if v in order[:i])
+        raise Max2XorError(f"var_order repeats variable {repeated}")
     if any(v not in known for constraint, _ in items for v in _item_vars(constraint)):
         raise SizeGuardError("var_order must cover every variable of the items")
     floor = Fraction(floor)
@@ -269,14 +350,9 @@ def verify_gadget(
     _guard(ns + na, max_vars)
 
     # Source bits are the most significant, so each source row is a run of
-    # 2**na consecutive indices: whole rows inside a chunk, or one row over
-    # several chunks.  Keep the least unsatisfied weight of every row.
-    least: List[Optional[int]] = [None] * (1 << ns)
-    for start, unsat in _unsat_chunks(translation, scaled, src_order + aux_order):
-        row_mins = unsat.reshape(-1, min(1 << na, unsat.size)).min(axis=1)
-        for row, value in enumerate(row_mins.tolist(), start >> na):
-            if least[row] is None or value < least[row]:
-                least[row] = value
+    # 2**na consecutive indices; keep the least unsatisfied weight of each.
+    order = src_order + aux_order
+    least, _ = _row_minima(_unsat_chunks(translation, scaled, order), na, 1 << ns)
 
     # The target of each row is alpha less 1 where the source is unsatisfied,
     # which the kernel reads from the row index bits.
@@ -287,7 +363,7 @@ def verify_gadget(
         for _, unsat in _unsat_chunks([(source, 1)], [1], src_order)
         for value in unsat.tolist()
     )
-    for i, (unsat, missed) in enumerate(zip(least, source_unsat)):
+    for i, (unsat, missed) in enumerate(zip(least.tolist(), source_unsat)):
         target = alpha_scaled - missed * scale
         if total_scaled - unsat != target:
             assignment = _index_to_assignment(i, src_order)

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from max2xor import oracle
-from max2xor.core import SizeGuardError, clause, evaluate, normalize, xor
+from max2xor.core import Max2XorError, SizeGuardError, clause, evaluate, normalize, xor
 from max2xor.oracle import (
     brute_opt_cost,
     brute_opt_cost_items,
     unsat_weight_profile,
     verify_gadget,
 )
-from max2xor.gadgets import GadgetParams
+from max2xor.gadgets import GadgetParams, TreeShape, compile_maxsat
+from max2xor.textio import parse_cnf
 
 F = Fraction
 H = Fraction(1, 2)
@@ -388,3 +389,157 @@ def test_verify_gadget_on_random_translations(chunk_bits, monkeypatch):
         verdict = verify_gadget(source, translation, GadgetParams(alpha, total, None))
         expected = _reference_verdict(source, translation, alpha, total)
         assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
+
+
+def test_profile_rejects_a_repeated_variable():
+    # a repeated variable would score each index by its later position only
+    items = [(xor([1, 2], 1), F(1))]
+    with pytest.raises(Max2XorError, match="repeats variable 1"):
+        unsat_weight_profile(items, [1, 2, 1])
+
+
+# ---------------------------------------------------------------------------
+# Prefix conditioning against full enumeration and the Fraction reference
+
+
+def _full_enumeration(monkeypatch, items, floor=F(0)):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_split", lambda item_vars, order: (1 << len(order), len(order), []))
+        result = brute_opt_cost_items(items, floor=floor)
+    assert result.stats["components"] == 0
+    return result
+
+
+def _outcome(result):
+    return result.opt, result.cost, result.opt_witness, result.cost_witness
+
+
+def _compiled_cnf(rng, nsrc, target):
+    """Random clauses of width 2..4 over ``nsrc`` variables until their
+    translations hold ``target`` variables."""
+    lines, aux = [], 0
+    while aux < target - nsrc or len(lines) < 2 * nsrc:
+        k = min(rng.randint(2, 4), 2 + target - nsrc - aux)
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nsrc + 1), k)]
+        lines.append(" ".join(map(str, lits)) + " 0")
+        aux += k - 2
+    return f"p cnf {nsrc} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+COMPILED = """p cnf 7 9
+1 -2 3 4 0
+-1 2 -5 6 0
+2 3 -6 7 0
+-3 4 5 -7 0
+1 -4 6 7 0
+-2 -5 -6 7 0
+1 3 5 0
+-1 -7 0
+2 6 0
+"""
+
+
+def test_oracle_stats_count_the_split():
+    # 7 source variables and 13 auxiliaries: once the sources are fixed, each
+    # wide clause's auxiliaries form a component of their own, six pairs and
+    # one single, so 2**7 * (1 + 6 * 2**2 + 2**1) assignments against 2**20
+    problem = compile_maxsat(parse_cnf(COMPILED)).problem
+    assert len(problem.variables()) == 20
+    result = brute_opt_cost(problem)
+    assert result.stats == {"assignments": 3456, "prefix": 7, "components": 7}
+    assert brute_opt_cost_items([(xor([1], 1), F(1))]).stats == {
+        "assignments": 2,
+        "prefix": 1,
+        "components": 0,
+    }
+
+
+@pytest.mark.parametrize("chunk_bits, nsrc, target", [(16, 7, 20), (4, 4, 10)])
+@pytest.mark.parametrize("strategy", ["sequential", "tree"])
+def test_split_matches_full_enumeration_on_compiled_instances(
+    strategy, chunk_bits, nsrc, target, monkeypatch
+):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(f"compiled/{strategy}/{chunk_bits}")
+    for _ in range(4):
+        instance = parse_cnf(_compiled_cnf(rng, nsrc, target))
+        shapes = {i: TreeShape.random(cl.k, rng) for i, (cl, _) in enumerate(instance.clauses)}
+        problem = compile_maxsat(instance, strategy=strategy, shapes=shapes).problem
+        items = problem.sorted_entries()
+        result = brute_opt_cost(problem)
+        assert result.stats["components"] > 0
+        assert _outcome(result) == _outcome(_full_enumeration(monkeypatch, items, problem.floor))
+        if chunk_bits == 4:
+            opt, cost, witness = _reference_brute(items, problem.floor)
+            assert _outcome(result) == (opt, cost, witness, witness)
+
+
+def _relabel(items, names):
+    """``items`` with variable v renamed ``names[v - 1]``."""
+    renamed = []
+    for c, w in items:
+        if hasattr(c, "lits"):
+            c = clause(*[names[abs(l) - 1] * (1 if l > 0 else -1) for l in c.lits])
+        else:
+            c = xor([names[v - 1] for v in c.vars], c.parity)
+        renamed.append((c, w))
+    return renamed
+
+
+def _blocks(rng, nsrc, block_vars, weight):
+    """Random items over ``nsrc`` source variables, then blocks of 1-3 fresh
+    variables, each sharing items with up to two source variables only; each
+    fresh variable occurs in a unit parity item at least."""
+    items = _random_items(rng, nsrc, rng.randint(1, 2 * nsrc), weight)
+    fresh = nsrc + 1
+    while fresh <= nsrc + block_vars:
+        size = min(rng.randint(1, 3), nsrc + block_vars + 1 - fresh)
+        names = list(range(fresh, fresh + size)) + rng.sample(range(1, nsrc + 1), min(2, nsrc))
+        items += _relabel(_random_items(rng, len(names), rng.randint(1, 4), weight), names)
+        items += [(xor([v], rng.randint(0, 1)), weight(rng)) for v in names[:size]]
+        fresh += size
+    rng.shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("chunk_bits, nsrc, block_vars", [(16, 5, 12), (2, 3, 5)])
+@pytest.mark.parametrize("weights", ["int64", "object"])
+def test_split_matches_full_enumeration_on_random_items(
+    weights, chunk_bits, nsrc, block_vars, monkeypatch
+):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(f"split/{weights}/{chunk_bits}")
+    splits = var_free = 0
+    for _ in range(6 if chunk_bits == 16 else 25):
+        items = _blocks(rng, nsrc, block_vars, WEIGHTS[weights])
+        var_free += any(not _vars_of(c) for c, _ in items)
+        floor = F(rng.randint(0, 5), rng.randint(1, 3))
+        result = brute_opt_cost_items(items, floor=floor)
+        splits += result.stats["components"] > 0
+        assert _outcome(result) == _outcome(_full_enumeration(monkeypatch, items, floor))
+        if chunk_bits == 2:
+            opt, cost, witness = _reference_brute(items, floor)
+            assert _outcome(result) == (opt, cost, witness, witness)
+    assert splits >= 3 and var_free >= 1
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+def test_verify_gadget_on_shipped_families(chunk_bits, monkeypatch):
+    # the translations ``max2xor gadget-verify`` certifies, with their claims
+    # and with a wrong alpha; at 2 chunk bits the wider rows span chunks
+    from argparse import Namespace
+
+    from max2xor.cli import _verify_family
+
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    families = [("binary", 1), ("binary", 2), ("trevisan", 3), ("chain", 4), ("chain", 5)]
+    families += [("t0", k) for k in range(2, 7)] + [("t", k) for k in range(3, 7)]
+    for family, k in families:
+        for shape in ("balanced", "left", "random") if family == "t" else (None,):
+            args = Namespace(family=family, k=k, shape=shape, seed=k)
+            source, translation, claimed = _verify_family(args)
+            for alpha in (claimed.alpha, claimed.alpha - H):
+                verdict = verify_gadget(source, translation, GadgetParams(alpha, claimed.beta, None))
+                expected = _reference_verdict(source, translation, alpha, claimed.beta)
+                assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
+                assert verdict.certified == (alpha == claimed.alpha)
