@@ -30,7 +30,7 @@ from .gadgets import (
     tree_gadget,
     trevisan_3to2,
 )
-from .oracle import MAX_ORACLE_VARS, brute_opt_cost_items, verify_gadget
+from .oracle import MAX_ORACLE_VARS, _guard, brute_opt_cost_items, verify_gadget
 from .proofs import bound_to_original, check_proof, saturate
 from .textio import (
     _records,
@@ -190,6 +190,11 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _verify_family(args):
+    """Source clause, translation and claimed parameters of a family.
+
+    The enumeration guard sees ``k`` plus the family's auxiliaries before any
+    clause, shape or translation is built.
+    """
     k = args.k
     if args.family == "binary":
         if k not in (1, 2):
@@ -204,12 +209,14 @@ def _verify_family(args):
     if args.family == "chain":
         if k < 4:
             raise Max2XorError("--family chain needs --k >= 4")
+        _guard(2 * k - 3, _oracle_guard())
         cl = clause(*range(1, k + 1))
         return cl, chain_to_3sat(cl, VarAllocator(k + 1)), GadgetParams(
             Fraction(k - 2), Fraction(k - 2), k - 3
         )
     if k < 2:
         raise Max2XorError(f"--family {args.family} needs --k >= 2")
+    _guard(2 * k - 2, _oracle_guard())
     cl = clause(*range(1, k + 1))
     if args.family == "t0":
         return cl, sequential_gadget(cl, None, VarAllocator(k + 1)), clause_params(k)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
@@ -51,6 +50,7 @@ from .gadgets import (
     problem_digest,
     sequential_gadget,
 )
+from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
 
 
 class RuleApplicationError(Max2XorError):
@@ -619,6 +619,9 @@ class ProofSummary:
 
 MODES = ("discard", "retranslate", "compact")
 
+# Parity-balanced triangles a compact-mode round may contract.
+COMPACT_TRIANGLE_QUOTA = 4
+
 
 def _summarize(
     state: ProofState,
@@ -679,14 +682,14 @@ def saturate(
     source: Union[X2XProblem, RawItems],
     mode: str = "discard",
     max_rounds: int = 3,
-    compact_triangle_quota: int = 4,
 ) -> Tuple[ProofSummary, List[ProofStep]]:
     """Derive empty-clause weight by repeated odd-cycle contraction.
 
     ``discard`` logs residue clauses but never feeds them back;
     ``retranslate`` compiles them into fresh parity constraints between
     rounds (up to ``max_rounds`` saturation rounds); ``compact`` uses the
-    fresh-variable chain rules instead of residue clauses.  Per round, rule
+    fresh-variable chain rules instead of residue clauses and contracts up to
+    ``COMPACT_TRIANGLE_QUOTA`` parity-balanced triangles.  Per round, rule
     applications are budgeted by the entry count at the round's start, which
     enforces the linear derivation length.
 
@@ -720,7 +723,7 @@ def saturate(
                     steps.append(step)
         budget = len(state.entries)
         used = 0
-        quota = compact_triangle_quota
+        quota = COMPACT_TRIANGLE_QUOTA
         while True:
             found = _next_cycle(state.index, mode == "compact", quota)
             if found is None:
@@ -765,63 +768,36 @@ class CheckVerdict:
     stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def _unsat(item, assignment) -> bool:
-    return not item.satisfied_by(assignment)
-
-
 def _truth_table_reason(step: ProofStep) -> Optional[str]:
     """Exact unsatisfied-weight check of one step over all assignments.
 
     Without a fresh variable the conclusions must over-count the premises by
     exactly ``offset`` pointwise; with one, by exactly ``offset`` at the best
-    fresh value and by at least ``offset`` at the other.
+    fresh value (so by at least ``offset`` at the other).  The deltas come
+    from the oracle's kernel, with the premises at ``-weight`` and the fresh
+    variable last, so rows ``2r`` and ``2r + 1`` are its two values at base
+    assignment r, in ``itertools.product`` order.
     """
-    variables: Set[int] = set()
-    for premise in step.premises:
-        variables.update(
-            premise.variables() if isinstance(premise, OrClause) else premise.vars
-        )
-    for constraint, _ in step.conclusions:
-        variables.update(constraint.vars)
-    for cl, _ in step.residues:
-        variables.update(cl.variables())
+    items = [(p, -step.weight) for p in step.premises]
+    items += [(c, step.weight * m) for c, m in step.conclusions + step.residues]
     fresh = step.fresh_var
-    base = sorted(variables - {fresh})
-
-    for values in product((0, 1), repeat=len(base)):
-        assignment = dict(zip(base, values))
-        premise_unsat = sum(
-            (step.weight for p in step.premises if _unsat(p, assignment)), ZERO
-        )
-
-        def conclusion_unsat() -> Fraction:
-            total = ZERO
-            for constraint, multiplier in step.conclusions:
-                if _unsat(constraint, assignment):
-                    total += step.weight * multiplier
-            for cl, multiplier in step.residues:
-                if _unsat(cl, assignment):
-                    total += step.weight * multiplier
-            return total
-
-        if fresh is None:
-            delta = conclusion_unsat() - premise_unsat
+    base = [v for v in _collect_vars(items) if v != fresh]
+    deltas = unsat_weight_profile(items, base + ([] if fresh is None else [fresh]))
+    if fresh is None:
+        for row, delta in enumerate(deltas):
             if delta != step.offset:
                 return (
                     f"unsatisfied weight changes by {delta} instead of {step.offset} "
-                    f"at {assignment}"
+                    f"at {_index_to_assignment(row, base)}"
                 )
-        else:
-            deltas = []
-            for value in (0, 1):
-                assignment[fresh] = value
-                deltas.append(conclusion_unsat() - premise_unsat)
-            del assignment[fresh]
-            if min(deltas) != step.offset or any(d < step.offset for d in deltas):
-                return (
-                    f"fresh-variable deltas {deltas} violate offset {step.offset} "
-                    f"at {assignment}"
-                )
+        return None
+    for row in range(len(deltas) // 2):
+        pair = deltas[2 * row : 2 * row + 2]
+        if min(pair) != step.offset:
+            return (
+                f"fresh-variable deltas {pair} violate offset {step.offset} "
+                f"at {_index_to_assignment(row, base)}"
+            )
     return None
 
 
@@ -889,6 +865,9 @@ def check_proof(
 
     A truth table runs once per step shape (see :func:`_step_shape`) in the
     process: a step whose shape has already passed is not tabled again.
+    Tables run on the oracle's enumeration kernel through
+    :func:`~max2xor.oracle.unsat_weight_profile`; the checker imports none
+    of the cycle search.
     """
     stats = {"truth_tables": 0, "shape_hits": 0}
     state = make_state(source)

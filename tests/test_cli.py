@@ -216,6 +216,25 @@ def test_gadget_verify_families():
     assert code == EXIT_OK and "alpha=5/1" in output
 
 
+def test_gadget_verify_guard_rejects_before_building(monkeypatch, capsys):
+    def never(*_):
+        raise AssertionError("built a translation the guard rejects")
+
+    for name in ("clause", "sequential_gadget", "tree_gadget", "chain_to_3sat", "_resolve_shape"):
+        monkeypatch.setattr(cli, name, never)
+    # k source variables plus k - 2 auxiliaries for t0 and t, k - 3 for chain
+    cases = [(("t0",), 399998), (("t", "--shape", "balanced"), 399998), (("chain",), 399997)]
+    for (family, *rest), count in cases:
+        argv = ("gadget-verify", "--family", family, "--k", "200000", *rest)
+        assert invoke(*argv) == (EXIT_ERROR, "")
+        assert capsys.readouterr().err == (
+            f"error: {count} variables exceed the enumeration guard of 26\n"
+        )
+    monkeypatch.setenv("X2X_MAX_ORACLE_VARS", "5")  # a lowered guard counts the same way
+    assert invoke("gadget-verify", "--family", "t0", "--k", "4") == (EXIT_ERROR, "")
+    assert capsys.readouterr().err == "error: 6 variables exceed the enumeration guard of 5\n"
+
+
 def test_gadget_verify_shape_file(tmp_path):
     shape = tmp_path / "shape.txt"
     shape.write_text("((1 2) (3 (4 5)))\n")

@@ -807,6 +807,64 @@ def test_checker_counts_truth_tables_and_shape_hits(cold_shapes):
     assert warm == cold  # the counts take no part in comparison
 
 
+def _reference_table_reason(step):
+    """The step truth table by pure-Fraction enumeration in ``product`` order."""
+    before = [(p, step.weight) for p in step.premises]
+    after = [(c, step.weight * m) for c, m in step.conclusions + step.residues]
+    variables = set()
+    for item, _ in before + after:
+        variables.update(item.vars if isinstance(item, XorConstraint) else item.variables())
+    fresh = step.fresh_var
+    base = sorted(variables - {fresh})
+    for values in product((0, 1), repeat=len(base)):
+        assignment = dict(zip(base, values))
+        extended = [assignment] if fresh is None else [{**assignment, fresh: y} for y in (0, 1)]
+        deltas = [unsat_weight(after, a) - unsat_weight(before, a) for a in extended]
+        offset = step.offset
+        if fresh is None and deltas[0] != offset:
+            return f"unsatisfied weight changes by {deltas[0]} instead of {offset} at {assignment}"
+        if fresh is not None and (min(deltas) != offset or any(d < offset for d in deltas)):
+            return f"fresh-variable deltas {deltas} violate offset {offset} at {assignment}"
+    return None
+
+
+def _random_canonical_steps(rng):
+    """One canonical step of every rule on random variables and weight."""
+    x, a, b, y = rng.sample(range(1, 30), 4)
+    weight = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+    lits = [v if rng.random() < 0.5 else -v for v in (x, a, b)]
+    for rule, (par1, par2, _) in {**proofs._CHAIN_RULES, **proofs._COMPACT_RULES}.items():
+        fresh = y if rule.startswith("compact") else None
+        yield build_step(rule, (xor([x, a], par1), xor([x, b], par2)), weight, fresh)
+    for rule, (par1, par2, _) in proofs._UNIT_RULES.items():
+        yield build_step(rule, (xor([x], par1), xor([x, a], par2)), weight)
+    yield build_step("contra", (xor([a, b], 0), xor([a, b], 1)), weight)
+    yield build_step("xlate2", (clause(*lits[1:]),), weight)
+    yield build_step("xlate3", (clause(*lits),), weight, y)
+
+
+def test_truth_table_matches_pure_fraction_enumeration():
+    rng = random.Random(2022)
+    rules, reasons = set(), set()
+    for _ in range(12):
+        for step in _random_canonical_steps(rng):
+            rules.add(step.rule)
+            assert proofs._truth_table_reason(step) is None is _reference_table_reason(step)
+            constraint, mult = step.conclusions[0]
+            flipped = xor(constraint.vars, constraint.parity ^ 1)
+            mutants = [
+                replace(step, conclusions=((flipped, mult),) + step.conclusions[1:]),
+                replace(step, offset=step.offset + H),
+                replace(step, conclusions=((constraint, 2 * mult),) + step.conclusions[1:]),
+            ]
+            for mutant in mutants:
+                reason = proofs._truth_table_reason(mutant)
+                assert reason is not None and reason == _reference_table_reason(mutant), mutant
+                reasons.add(reason.split(" ")[0])
+    assert rules == proofs.KNOWN_RULES and len(rules) == 13
+    assert reasons == {"unsatisfied", "fresh-variable"}
+
+
 def test_checker_rejects_wrong_claimed_bound():
     items = [(xor([1], 0), F(1)), (xor([1], 1), F(1))]
     summary, steps = saturate(items)
