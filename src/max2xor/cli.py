@@ -18,6 +18,7 @@ from typing import Dict, Sequence
 
 from .core import Max2XorError, ParseError, ShapeError, clause, format_rational
 from .gadgets import (
+    STRATEGIES,
     GadgetParams,
     TreeShape,
     VarAllocator,
@@ -31,7 +32,7 @@ from .gadgets import (
     trevisan_3to2,
 )
 from .oracle import MAX_ORACLE_VARS, _guard, brute_opt_cost_items, verify_gadget
-from .proofs import bound_to_original, check_proof, saturate
+from .proofs import MODES, bound_to_original, check_proof, saturate
 from .textio import (
     _records,
     emit_maxcut,
@@ -69,9 +70,7 @@ def _read(path: str) -> str:
 
 
 def _parse_mode(text: str):
-    if text == "discard" or text == "compact":
-        return text, 3
-    if text == "retranslate":
+    if text in MODES:
         return text, 3
     if text.startswith("retranslate="):
         try:
@@ -276,14 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("compile", help="translate a cnf/wcnf instance to .x2x")
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    p.add_argument("--strategy", choices=("sequential", "tree", "full"), default="sequential")
+    p.add_argument("--strategy", choices=STRATEGIES, default="sequential")
     p.add_argument("--shapes", help="file with one parenthesized tree shape per clause")
 
     p = add_parser("bound", help="derive a certified cost lower bound")
     p.add_argument("input", help=".cnf/.wcnf or .x2x file")
     p.add_argument("-o", "--output", help="proof log path")
     p.add_argument("--mode", default="discard", help="discard | retranslate[=N] | compact")
-    p.add_argument("--strategy", choices=("sequential", "tree", "full"), default="sequential")
+    p.add_argument("--strategy", choices=STRATEGIES, default="sequential")
     p.add_argument("--shapes")
 
     p = add_parser("check", help="replay and verify a proof log")

@@ -264,8 +264,6 @@ def _format_node(node: ShapeNode, sep: str = " ") -> str:
 # A term is (variable id or None for the constant one, negation bit).
 Term = Tuple[Optional[int], int]
 
-ANCHORED = None  # pass as anchor to substitute the constant one for it
-
 
 def _literal_term(lit: int) -> Term:
     return abs(lit), 1 if lit < 0 else 0
@@ -442,7 +440,7 @@ class CompileReport:
         return self.shift + 1
 
 
-STRATEGIES = ("sequential", "tree", "full")
+STRATEGIES = ("sequential", "tree")
 
 
 def problem_digest(problem: X2XProblem) -> str:
@@ -458,9 +456,7 @@ def compile_maxsat(
 
     Unit and binary clauses always use the direct translation (shift 0 and
     w/2).  Wider clauses use the sequential or tree translation with the
-    anchor substituted by the constant one (shift w*(k-1)/2).  The ``full``
-    strategy is the aux-free expansion, which coincides with the direct
-    translation and is therefore only accepted up to width 2.  Empty clauses
+    anchor substituted by the constant one (shift w*(k-1)/2).  Empty clauses
     credit their weight straight to the floor.
     """
     if strategy not in STRATEGIES:
@@ -481,17 +477,12 @@ def compile_maxsat(
         if k <= 2:
             raw.extend(binary_gadget(weight, cl))
         else:
-            if strategy == "full":
-                raise ArityError(
-                    f"the full-expansion strategy only covers widths up to 2, "
-                    f"clause {index} has width {k}"
-                )
             first_fresh = alloc.next_id
             if strategy == "sequential":
-                items = sequential_gadget(cl, ANCHORED, alloc)
+                items = sequential_gadget(cl, None, alloc)
             else:
                 shape = shapes.get(index) or TreeShape.balanced(k)
-                items = tree_gadget(cl, shape, ANCHORED, alloc)
+                items = tree_gadget(cl, shape, None, alloc)
             raw.extend((constraint, weight * w) for constraint, w in items)
             for fresh in range(first_fresh, alloc.next_id):
                 aux_map[fresh] = index

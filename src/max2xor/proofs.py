@@ -6,20 +6,21 @@ pointwise; the contradiction rule turns an opposite-parity pair into empty
 clause weight.  Derived empty-clause weight m certifies that the problem's
 cost is at least m.
 
-Weighted application protocol: a rule always fires at the minimum of its two
-premise weights, so at least one premise is consumed entirely.  The working
-state is a plain weighted multiset; unlike :class:`~max2xor.core.X2XProblem`
-it may hold both parities of a variable subset, because cancelling them is
-exactly the contradiction rule and must appear in the log.
+All 13 rules are rows of one table, ``RULES``, and :func:`build_step` builds
+every step from its row, for the engine and the checker alike.  Compact
+rules replace the residue clauses of a chain step by three parity
+constraints on a fresh variable; retranslation steps (``xlate2``,
+``xlate3``) turn a residue clause back into parity constraints through its
+clause translation.  Both over-count the unsatisfied weight by an exact
+``offset`` per step, which is subtracted from the usable bound.
 
-Compact rules replace the residue clauses of a chain step by three parity
-constraints on a fresh variable.  Their conclusions flip the chain
-conclusion's parity and overshoot the unsatisfied weight by exactly the
-applied weight; the overshoot is tracked per step in ``offset`` and
-subtracted from the usable bound.  Retranslation steps (``xlate2``,
-``xlate3``) turn an accumulated residue clause back into parity constraints
-through the clause translations and carry their cost shift as ``offset`` in
-the same way.
+Weighted application protocol: every premise must be present in the pool
+its form names (the residues for a clause, the entries otherwise), and a
+rule fires at the lightest premise weight, so at least one premise is
+consumed entirely.  The working state is a plain weighted multiset; unlike
+:class:`~max2xor.core.X2XProblem` it may hold both parities of a variable
+subset, because cancelling them is exactly the contradiction rule and must
+appear in the log.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     EMPTY_CLAUSE,
     HALF,
-    ONE,
     Max2XorError,
     OrClause,
     TAUTOLOGY,
@@ -43,13 +43,7 @@ from .core import (
     format_rational,
     normalize,
 )
-from .gadgets import (
-    CompileReport,
-    VarAllocator,
-    binary_gadget,
-    problem_digest,
-    sequential_gadget,
-)
+from .gadgets import CompileReport, VarAllocator, problem_digest
 from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
 
 
@@ -63,49 +57,6 @@ class PatternError(Max2XorError):
 
 class ProvenanceError(Max2XorError):
     """A proof summary was paired with a report it was not derived from."""
-
-
-# ---------------------------------------------------------------------------
-# Rule tables
-#
-# Roles: x is the shared variable, a the first premise's other variable, b the
-# second premise's.  Chain rules conclude a+b with the XOR of the premise
-# parities and emit two double-weight ternary residues; unit rules conclude a
-# unit and one binary residue.  Residue templates are literal signs on
-# (x, a[, b]).
-
-_CHAIN_RULES = {
-    "chain00": (0, 0, ((+1, -1, -1), (-1, +1, +1))),
-    "chain01": (0, 1, ((+1, -1, +1), (-1, +1, -1))),
-    "chain11": (1, 1, ((+1, +1, +1), (-1, -1, -1))),
-}
-
-_UNIT_RULES = {
-    "unit00": (0, 0, (-1, +1)),
-    "unit01": (0, 1, (-1, -1)),
-    "unit10": (1, 0, (+1, -1)),
-    "unit11": (1, 1, (+1, +1)),
-}
-
-# Compact variants: conclusion parity is the chain conclusion flipped; the
-# entries (px, pa, pb) are the parities of the fresh-variable edges.
-_COMPACT_RULES = {
-    "compact00": (0, 0, (0, 0, 0)),
-    "compact01": (0, 1, (0, 0, 1)),
-    "compact11": (1, 1, (0, 1, 1)),
-}
-
-# Retranslation rules: their one premise is a residue clause, not a parity constraint.
-CLAUSE_PREMISE_RULES = ("xlate2", "xlate3")
-
-# Rules that introduce a variable; every other rule takes no fresh variable.
-_FRESH_RULES = frozenset(list(_COMPACT_RULES) + ["xlate3"])
-
-KNOWN_RULES = frozenset(
-    [*_CHAIN_RULES, *_UNIT_RULES, *_COMPACT_RULES, "contra", *CLAUSE_PREMISE_RULES]
-)
-
-TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -169,23 +120,129 @@ def make_state(source: Union[X2XProblem, RawItems]) -> ProofState:
 
 
 # ---------------------------------------------------------------------------
-# Step construction
+# Rules
+#
+# A rule maps to its premise form, the premise parities (the clause width
+# for a clause), conclusion templates ``(roles, parity, multiplier)``, residue
+# templates ``(signed roles, multiplier)`` and its offset per unit of applied
+# weight.  Roles are letters naming the premises' terms in ``_ROLES`` order:
+# pairs x+a and x+b sharing only x, a unit x and a pair x+a, one variable set
+# at two parities, or a residue clause's literals; y is the fresh variable.
+# A conclusion is the XOR of its roles at the parity XOR their literal signs;
+# a residue is the clause of its signed roles.
+_ROLES = {"pairs": "x a b y", "unit": "x a", "same": "", "clause": "p q r y"}
 
 
-def _shared_variable(p1: XorConstraint, p2: XorConstraint) -> int:
-    shared = set(p1.vars) & set(p2.vars)
-    if len(shared) != 1:
-        raise PatternError(f"premises must share exactly one variable: {p1} / {p2}")
-    return shared.pop()
+class Rule(NamedTuple):
+    """A table row with its roles compiled to indices into the step's terms."""
+
+    form: str
+    premise: Union[Tuple[int, int], int]
+    conclusions: Tuple[Tuple[Tuple[int, ...], int, Fraction], ...]
+    residues: Tuple[Tuple[Tuple[Tuple[int, int], ...], Fraction], ...]  # (index, sign) pairs
+    offset: Fraction
+    fresh: bool  # whether a template names y
+
+
+def _rule(form: str, premise, conclusions, residues, offset) -> Rule:
+    index = {role: i for i, role in enumerate(_ROLES[form].split())}
+    return Rule(
+        form,
+        premise,
+        tuple(
+            (tuple(index[r] for r in roles.split()), parity, Fraction(m))
+            for roles, parity, m in conclusions
+        ),
+        tuple(
+            (tuple((index[r[-1]], -1 if r[0] == "-" else 1) for r in roles.split()), Fraction(m))
+            for roles, m in residues
+        ),
+        Fraction(offset),
+        any("y" in template[0].split() for template in conclusions + residues),
+    )
+
+
+# Chain rules conclude a+b at the XOR of the premise parities and leave two
+# double-weight residues; compact rules flip that conclusion and put three
+# pairs on y in place of the residues, overshooting by the applied weight.
+# The xlate rules are ``binary_gadget`` and ``sequential_gadget`` anchored
+# at the constant one.
+RULES: Dict[str, Rule] = {
+    rule: _rule(*row)
+    for rule, row in {
+        "chain00": ("pairs", (0, 0), [("a b", 0, 1)], [("x -a -b", 2), ("-x a b", 2)], 0),
+        "chain01": ("pairs", (0, 1), [("a b", 1, 1)], [("x -a b", 2), ("-x a -b", 2)], 0),
+        "chain11": ("pairs", (1, 1), [("a b", 0, 1)], [("x a b", 2), ("-x -a -b", 2)], 0),
+        "compact00": ("pairs", (0, 0), [("a b", 1, 1), ("x y", 0, 2), ("a y", 0, 2),
+                                        ("b y", 0, 2)], [], 1),
+        "compact01": ("pairs", (0, 1), [("a b", 0, 1), ("x y", 0, 2), ("a y", 0, 2),
+                                        ("b y", 1, 2)], [], 1),
+        "compact11": ("pairs", (1, 1), [("a b", 1, 1), ("x y", 0, 2), ("a y", 1, 2),
+                                        ("b y", 1, 2)], [], 1),
+        "unit00": ("unit", (0, 0), [("a", 0, 1)], [("-x a", 2)], 0),
+        "unit01": ("unit", (0, 1), [("a", 1, 1)], [("-x -a", 2)], 0),
+        "unit10": ("unit", (1, 0), [("a", 1, 1)], [("x -a", 2)], 0),
+        "unit11": ("unit", (1, 1), [("a", 0, 1)], [("x a", 2)], 0),
+        "contra": ("same", (0, 1), [("", 1, 1)], [], 0),
+        "xlate2": ("clause", 2, [("p", 1, HALF), ("q", 1, HALF), ("p q", 1, HALF)], [], HALF),
+        "xlate3": ("clause", 3, [("p q", 1, HALF), ("p y", 0, HALF), ("q y", 0, HALF),
+                                 ("y r", 1, HALF), ("y", 1, HALF), ("r", 1, HALF)], [], 1),
+    }.items()
+}
+
+KNOWN_RULES = frozenset(RULES)
+
+# Retranslation rules: their one premise is a residue clause, not a parity constraint.
+CLAUSE_PREMISE_RULES = tuple(rule for rule, spec in RULES.items() if spec.form == "clause")
+
+# Rules that introduce a variable; every other rule takes no fresh variable.
+_FRESH_RULES = frozenset(rule for rule, spec in RULES.items() if spec.fresh)
 
 
 def _other(premise: XorConstraint, x: int) -> int:
     return premise.vars[0] if premise.vars[1] == x else premise.vars[1]
 
 
-def _residue_clause(signs: Sequence[int], variables: Sequence[int]) -> OrClause:
-    lits = tuple(sorted((s * v for s, v in zip(signs, variables)), key=abs))
-    return OrClause(lits)
+def _premise_terms(rule: str, form: str, premises: Tuple[object, ...], expected) -> Tuple[int, ...]:
+    """The premises' terms by role, once they fit the form and its parities or width."""
+    if form == "clause":
+        if len(premises) != 1 or not isinstance(premises[0], OrClause):
+            raise PatternError(f"{rule} takes one residue clause premise")
+        (cl,) = premises
+        if cl.k != expected:
+            width = {2: "binary", 3: "ternary"}[expected]
+            raise PatternError(f"{rule} needs a {width} clause, got width {cl.k}")
+        return cl.lits
+    if len(premises) != 2:
+        raise PatternError(f"{rule} takes two premises")
+    p1, p2 = premises
+    if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
+        raise PatternError(f"{rule} premises must be parity constraints")
+    if form == "same":
+        if p1.vars != p2.vars or (p1.parity, p2.parity) != expected:
+            raise PatternError(
+                f"{rule} premises must be the same variables at parities "
+                f"{expected[0]}/{expected[1]}: {p1} / {p2}"
+            )
+        return ()
+    if form == "pairs":
+        if p1.arity != 2 or p2.arity != 2:
+            raise PatternError(f"{rule} premises must have two variables: {p1} / {p2}")
+        shared = set(p1.vars) & set(p2.vars)
+        if len(shared) != 1:
+            raise PatternError(f"premises must share exactly one variable: {p1} / {p2}")
+        (x,) = shared
+        terms = (x, _other(p1, x), _other(p2, x))
+    else:
+        if p1.arity != 1 or p2.arity != 2:
+            raise PatternError(f"{rule} premises must be a unit and a pair: {p1} / {p2}")
+        (x,) = p1.vars
+        if x not in p2.vars:
+            raise PatternError(f"{rule} premises must share the unit variable")
+        terms = (x, _other(p2, x))
+    if (p1.parity, p2.parity) != expected:
+        raise PatternError(f"{rule} premises must have parities {expected[0]}/{expected[1]}")
+    return terms
 
 
 def build_step(
@@ -195,95 +252,38 @@ def build_step(
     fresh_var: Optional[int] = None,
 ) -> ProofStep:
     """Construct the canonical step for a rule instance; raises on bad patterns."""
-    if rule not in KNOWN_RULES:
+    spec = RULES.get(rule)
+    if spec is None:
         raise PatternError(f"unknown rule id {rule!r}")
-    if fresh_var is not None and rule not in _FRESH_RULES:
+    if fresh_var is not None and not spec.fresh:
         raise PatternError(f"{rule} takes no fresh variable")
     weight = check_weight(weight)
-    if rule in CLAUSE_PREMISE_RULES:
-        return _xlate_step(rule, premises, weight, fresh_var)
-    if len(premises) != 2:
-        raise PatternError(f"{rule} takes two premises")
-    p1, p2 = premises
-    if not (isinstance(p1, XorConstraint) and isinstance(p2, XorConstraint)):
-        raise PatternError(f"{rule} premises must be parity constraints")
-
-    if rule in _CHAIN_RULES or rule in _COMPACT_RULES:
-        if p1.arity != 2 or p2.arity != 2:
-            raise PatternError(f"{rule} premises must have two variables: {p1} / {p2}")
-        x = _shared_variable(p1, p2)
-        a, b = _other(p1, x), _other(p2, x)
-        if rule in _CHAIN_RULES:
-            par1, par2, templates = _CHAIN_RULES[rule]
-            if (p1.parity, p2.parity) != (par1, par2):
-                raise PatternError(f"{rule} premises must have parities {par1}/{par2}")
-            conclusion = XorConstraint(tuple(sorted((a, b))), par1 ^ par2)
-            residues = tuple(
-                (_residue_clause(signs, (x, a, b)), TWO) for signs in templates
-            )
-            return ProofStep(rule, weight, (p1, p2), ((conclusion, ONE),), residues)
-        par1, par2, edge_parities = _COMPACT_RULES[rule]
-        if (p1.parity, p2.parity) != (par1, par2):
-            raise PatternError(f"{rule} premises must have parities {par1}/{par2}")
+    terms = _premise_terms(rule, spec.form, premises, spec.premise)
+    if spec.fresh:
         if fresh_var is None or fresh_var <= 0:
             raise PatternError(f"{rule} needs a fresh variable")
-        if fresh_var in (x, a, b):
-            raise PatternError(f"fresh variable {fresh_var} occurs in the premises")
-        px, pa, pb = edge_parities
-        conclusions = (
-            (XorConstraint(tuple(sorted((a, b))), par1 ^ par2 ^ 1), ONE),
-            (XorConstraint(tuple(sorted((x, fresh_var))), px), TWO),
-            (XorConstraint(tuple(sorted((a, fresh_var))), pa), TWO),
-            (XorConstraint(tuple(sorted((b, fresh_var))), pb), TWO),
-        )
-        return ProofStep(
-            rule, weight, (p1, p2), conclusions, (), offset=weight, fresh_var=fresh_var
-        )
-
-    if rule in _UNIT_RULES:
-        par1, par2, template = _UNIT_RULES[rule]
-        if p1.arity != 1 or p2.arity != 2:
-            raise PatternError(f"{rule} premises must be a unit and a pair: {p1} / {p2}")
-        (x,) = p1.vars
-        if x not in p2.vars:
-            raise PatternError(f"{rule} premises must share the unit variable")
-        if (p1.parity, p2.parity) != (par1, par2):
-            raise PatternError(f"{rule} premises must have parities {par1}/{par2}")
-        a = _other(p2, x)
-        conclusion = XorConstraint((a,), par1 ^ par2)
-        residues = ((_residue_clause(template, (x, a)), TWO),)
-        return ProofStep(rule, weight, (p1, p2), ((conclusion, ONE),), residues)
-
-    # the one rule left is contra
-    if p1.vars != p2.vars or (p1.parity, p2.parity) != (0, 1):
-        raise PatternError(
-            f"contra premises must be the same variables at parities 0/1: {p1} / {p2}"
-        )
-    return ProofStep(rule, weight, (p1, p2), ((EMPTY_CLAUSE, ONE),))
-
-
-def _xlate_step(
-    rule: str, premises: Tuple[object, ...], weight: Fraction, fresh_var: Optional[int]
-) -> ProofStep:
-    """Retranslation of one residue clause through its clause translation."""
-    if len(premises) != 1 or not isinstance(premises[0], OrClause):
-        raise PatternError(f"{rule} takes one residue clause premise")
-    cl = premises[0]
-    if rule == "xlate2":
-        if cl.k != 2:
-            raise PatternError(f"xlate2 needs a binary clause, got width {cl.k}")
-        conclusions = tuple((c, w) for c, w in binary_gadget(ONE, cl))
-        return ProofStep(rule, weight, (cl,), conclusions, (), offset=weight * HALF)
-    if cl.k != 3:
-        raise PatternError(f"xlate3 needs a ternary clause, got width {cl.k}")
-    if fresh_var is None or fresh_var <= 0:
-        raise PatternError("xlate3 needs a fresh variable")
-    if fresh_var in cl.variables():
-        raise PatternError(f"fresh variable {fresh_var} occurs in the clause")
-    items = sequential_gadget(cl, None, VarAllocator(fresh_var))
-    conclusions = tuple((c, w) for c, w in items)
+        if fresh_var in map(abs, terms):
+            where = "clause" if spec.form == "clause" else "premises"
+            raise PatternError(f"fresh variable {fresh_var} occurs in the {where}")
+        terms += (fresh_var,)
+    conclusions = []
+    for roles, parity, multiplier in spec.conclusions:
+        variables = []
+        for role in roles:
+            lit = terms[role]
+            if lit < 0:
+                parity ^= 1
+                lit = -lit
+            variables.append(lit)
+        variables.sort()
+        conclusions.append((XorConstraint(tuple(variables), parity), multiplier))
+    residues = [
+        (OrClause(tuple(sorted([sign * terms[role] for role, sign in lits], key=abs))), multiplier)
+        for lits, multiplier in spec.residues
+    ]
+    offset = weight * spec.offset if spec.offset else ZERO
     return ProofStep(
-        rule, weight, (cl,), conclusions, (), offset=weight, fresh_var=fresh_var
+        rule, weight, tuple(premises), tuple(conclusions), tuple(residues), offset, fresh_var
     )
 
 
@@ -291,54 +291,34 @@ def _xlate_step(
 # State transition
 
 
-def _check_weights(state: ProofState, step: ProofStep) -> None:
-    if step.rule in CLAUSE_PREMISE_RULES:
-        pool = state.residues.get(step.premises[0])
-        if pool is None:
-            raise RuleApplicationError(f"residue clause {step.premises[0]} not present")
-        if pool != step.weight:
-            raise RuleApplicationError(
-                f"retranslation must consume the full residue weight {pool}, "
-                f"got {step.weight}"
-            )
-        return
-    w1 = state.entries.get(step.premises[0])
-    w2 = state.entries.get(step.premises[1])
-    if w1 is None or w2 is None or w1 < step.weight or w2 < step.weight:
-        raise RuleApplicationError(
-            f"premises of {step.rule} missing or lighter than {step.weight}"
-        )
-    if step.weight != min(w1, w2):
-        raise RuleApplicationError(
-            f"applied weight {step.weight} must equal the smaller premise weight "
-            f"{min(w1, w2)} (one premise is consumed entirely)"
-        )
-
-
 def _replay_step(state: ProofState, step: ProofStep) -> None:
     """Apply a built step after checking its weights and its fresh variable.
 
     The engine and the checker both change a state only through here.
     """
-    _check_weights(state, step)
+    pool = state.residues if RULES[step.rule].form == "clause" else state.entries
+    lightest = None
+    for premise in step.premises:
+        present = pool.get(premise)
+        if present is None:
+            raise RuleApplicationError(f"{step.rule} premise {premise} not present")
+        if lightest is None or present < lightest:
+            lightest = present
+    if step.weight != lightest:
+        raise RuleApplicationError(
+            f"applied weight {step.weight} must equal the lightest premise weight "
+            f"{lightest} (one premise is consumed entirely)"
+        )
     if step.fresh_var is not None and step.fresh_var in state.seen_vars:
         raise PatternError(f"variable {step.fresh_var} is not fresh")
-    if step.rule in CLAUSE_PREMISE_RULES:
-        cl = step.premises[0]
-        remaining = state.residues[cl] - step.weight
+    for premise in step.premises:
+        remaining = pool[premise] - step.weight
         if remaining == 0:
-            del state.residues[cl]
+            del pool[premise]
+            if pool is state.entries and state.index is not None:
+                state.index.discard(premise)
         else:
-            state.residues[cl] = remaining
-    else:
-        for premise in step.premises:
-            remaining = state.entries[premise] - step.weight
-            if remaining == 0:
-                del state.entries[premise]
-                if state.index is not None:
-                    state.index.discard(premise)
-            else:
-                state.entries[premise] = remaining
+            pool[premise] = remaining
     for constraint, multiplier in step.conclusions:
         added = step.weight * multiplier
         if constraint == EMPTY_CLAUSE:

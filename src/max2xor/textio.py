@@ -381,7 +381,7 @@ def emit_proof(steps) -> str:
 
 def parse_proof(text: str):
     # deferred: proofs builds on textio
-    from .proofs import CLAUSE_PREMISE_RULES, KNOWN_RULES, ProofStep
+    from .proofs import RULES, ProofStep
 
     steps = []
     for line_no, line in _records(text, ("c",)):
@@ -392,7 +392,7 @@ def parse_proof(text: str):
         if len(tokens) < 4 or tokens[0] != "s" or tokens[2] != "w":
             raise ParseError(f"bad step head {head.strip()!r}", line_no)
         rule = tokens[1]
-        if rule not in KNOWN_RULES:
+        if rule not in RULES:
             raise ParseError(f"unknown rule id {rule!r}", line_no)
         weight = _positive(tokens[3], "applied weight", line_no)
         fresh_var, offset = None, ZERO
@@ -410,7 +410,7 @@ def parse_proof(text: str):
         # Premises, then conclusions and residues with their weight multipliers.
         sections: List[list] = []
         for index, part in enumerate(parts):
-            reads_clauses = index == 2 or (index == 0 and rule in CLAUSE_PREMISE_RULES)
+            reads_clauses = index == 2 or (index == 0 and RULES[rule].form == "clause")
             items = []
             for tokens in map(str.split, part.split(";")):
                 if not tokens:

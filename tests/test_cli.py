@@ -332,9 +332,14 @@ def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
         assert err.startswith(f"error: {binary} is not UTF-8 text:"), (argv, err)
 
 
-def test_usage_and_parse_errors(tmp_path):
+def test_usage_and_parse_errors(tmp_path, capsys):
     code, _ = invoke("no-such-command")
     assert code == EXIT_ERROR
+    code, _ = invoke("compile", str(tmp_path / "any.cnf"), "--strategy", "full")
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("usage:") and "--strategy: invalid choice" in err
+    assert "Traceback" not in err
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n1 -1 0\n")
     code, _ = invoke("compile", str(bad))

@@ -7,6 +7,7 @@ import pytest
 
 from max2xor.core import (
     ArityError,
+    Max2XorError,
     ShapeError,
     SizeGuardError,
     XorConstraint,
@@ -447,12 +448,12 @@ def test_compile_tree_strategy_with_shape_map():
     assert set(report.aux_map) == {5, 6}
 
 
-def test_compile_full_strategy_limited_to_binary():
+def test_compile_full_strategy_is_unknown():
+    # widths up to 2 always take the direct translation, so a full-expansion
+    # strategy would have no behaviour of its own
     instance = WcnfInstance(2, [(clause(1, 2), F(1))])
-    report = compile_maxsat(instance, strategy="full")
-    assert len(report.problem.entries) == 3
-    with pytest.raises(ArityError):
-        compile_maxsat(WcnfInstance(3, [(clause(1, 2, 3), F(1))]), strategy="full")
+    with pytest.raises(Max2XorError, match="unknown strategy 'full'"):
+        compile_maxsat(instance, strategy="full")
 
 
 def test_compile_cost_shift_identity_random():

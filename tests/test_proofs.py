@@ -11,8 +11,14 @@ import pytest
 
 from max2xor.core import EMPTY_CLAUSE, XorConstraint, clause, format_rational, normalize, xor
 from max2xor import proofs
-from max2xor.gadgets import VarAllocator, compile_maxsat
-from max2xor.oracle import brute_opt_cost, brute_opt_cost_items
+from max2xor.gadgets import (
+    VarAllocator,
+    binary_gadget,
+    clause_params,
+    compile_maxsat,
+    sequential_gadget,
+)
+from max2xor.oracle import brute_opt_cost, brute_opt_cost_items, verify_gadget
 from max2xor.proofs import (
     MODES,
     PatternError,
@@ -106,6 +112,23 @@ def test_compact_step_shape():
         (xor([3, 9], 0), F(2)),
     )
     assert step.residues == ()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_xlate_rows_are_the_clause_translations(k):
+    # every sign pattern; the fresh variable 4 lies between the clause's variables
+    params = clause_params(k)
+    for signs in product((1, -1), repeat=k):
+        cl = clause(*(sign * v for sign, v in zip(signs, (2, 5, 7))))
+        if k == 2:
+            step = build_step("xlate2", (cl,), F(3, 2))
+            reference = binary_gadget(F(1), cl)
+        else:
+            step = build_step("xlate3", (cl,), F(3, 2), fresh_var=4)
+            reference = sequential_gadget(cl, None, VarAllocator(4))
+        assert list(step.conclusions) == reference, cl
+        assert verify_gadget(cl, list(step.conclusions), params).certified, cl
+        assert step.offset / step.weight == params.gap
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +787,9 @@ def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
     assert mutated_shape_hits > 0
 
 
-@pytest.mark.parametrize("table,rule", [("_UNIT_RULES", "unit11"), ("_CHAIN_RULES", "chain01")])
+@pytest.mark.parametrize("rule", ["unit11", "chain01"])
 def test_checker_tables_an_unsound_rule_after_its_sound_shape_was_cached(
-    table, rule, cold_shapes, monkeypatch
+    rule, cold_shapes, monkeypatch
 ):
     problem = compile_maxsat(parse_cnf(_random_wcnf(5, 4, 17, 3))).problem
     summary, steps = saturate(problem)
@@ -774,13 +797,11 @@ def test_checker_tables_an_unsound_rule_after_its_sound_shape_was_cached(
 
     # flip the first literal of the rule's first residue template; the
     # engine and the canonical comparison now both use the unsound template
-    par1, par2, templates = getattr(proofs, table)[rule]
-    if table == "_UNIT_RULES":
-        unsound = (par1, par2, (-templates[0],) + templates[1:])
-    else:
-        first = templates[0]
-        unsound = (par1, par2, ((-first[0],) + first[1:],) + templates[1:])
-    monkeypatch.setitem(getattr(proofs, table), rule, unsound)
+    spec = proofs.RULES[rule]
+    (first, multiplier), *rest = spec.residues
+    (role, sign), *others = first
+    unsound = (((role, -sign), *others), multiplier)
+    monkeypatch.setitem(proofs.RULES, rule, spec._replace(residues=(unsound, *rest)))
     bad_summary, bad_steps = saturate(problem)
     index = next(i for i, step in enumerate(bad_steps) if step.rule == rule)
 
@@ -833,14 +854,19 @@ def _random_canonical_steps(rng):
     x, a, b, y = rng.sample(range(1, 30), 4)
     weight = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
     lits = [v if rng.random() < 0.5 else -v for v in (x, a, b)]
-    for rule, (par1, par2, _) in {**proofs._CHAIN_RULES, **proofs._COMPACT_RULES}.items():
-        fresh = y if rule.startswith("compact") else None
-        yield build_step(rule, (xor([x, a], par1), xor([x, b], par2)), weight, fresh)
-    for rule, (par1, par2, _) in proofs._UNIT_RULES.items():
-        yield build_step(rule, (xor([x], par1), xor([x, a], par2)), weight)
-    yield build_step("contra", (xor([a, b], 0), xor([a, b], 1)), weight)
-    yield build_step("xlate2", (clause(*lits[1:]),), weight)
-    yield build_step("xlate3", (clause(*lits),), weight, y)
+    for rule, spec in proofs.RULES.items():
+        fresh = y if rule in proofs._FRESH_RULES else None
+        if spec.form == "clause":
+            yield build_step(rule, (clause(*lits[3 - spec.premise :]),), weight, fresh)
+            continue
+        par1, par2 = spec.premise
+        if spec.form == "pairs":
+            premises = (xor([x, a], par1), xor([x, b], par2))
+        elif spec.form == "unit":
+            premises = (xor([x], par1), xor([x, a], par2))
+        else:
+            premises = (xor([a, b], par1), xor([a, b], par2))
+        yield build_step(rule, premises, weight, fresh)
 
 
 def test_truth_table_matches_pure_fraction_enumeration():
