@@ -74,12 +74,9 @@ def _parse_mode(text: str):
         return text, 3
     if text.startswith("retranslate="):
         try:
-            rounds = int(text.split("=", 1)[1])
+            return "retranslate", int(text.split("=", 1)[1])  # saturate checks the count
         except ValueError:
             raise Max2XorError(f"bad round count in mode {text!r}")
-        if rounds < 1:
-            raise Max2XorError("retranslate rounds must be at least 1")
-        return "retranslate", rounds
     raise Max2XorError(f"unknown mode {text!r}; use discard, retranslate[=N], or compact")
 
 

@@ -212,42 +212,34 @@ def normalize(
     replaced by adding w to the floor; this keeps the unsatisfied weight of
     the problem identical for every assignment.
     """
-    merged: Dict[XorConstraint, Fraction] = {}
-    max_var = 0
+    # per variable set: [parity-0 constraint, its weight, parity-1 constraint, its weight]
+    merged: Dict[Tuple[int, ...], list] = {}
     for constraint, weight in raw:
         weight = check_weight(weight)
-        merged[constraint] = merged.get(constraint, ZERO) + weight
-        if constraint.vars:
-            max_var = max(max_var, constraint.vars[-1])
+        slot = merged.get(constraint.vars)
+        if slot is None:
+            slot = merged[constraint.vars] = [None, None, None, None]
+        at = 2 * constraint.parity
+        held = slot[at + 1]
+        slot[at : at + 2] = constraint, weight if held is None else held + weight
 
     floor = Fraction(floor)
     entries: Dict[XorConstraint, Fraction] = {}
-    for constraint in sorted(merged):
-        if constraint.parity == 1:
-            continue  # handled together with its opposite below
-        opposite = XorConstraint(constraint.vars, 1)
-        w0 = merged.get(constraint, ZERO)
-        w1 = merged.get(opposite, ZERO)
-        cancel = min(w0, w1)
-        floor += cancel
-        w0 -= cancel
-        w1 -= cancel
-        if w0 > 0:
-            entries[constraint] = w0
-        if w1 > 0:
-            entries[opposite] = w1
-    for constraint in sorted(merged):
-        if constraint.parity == 1 and XorConstraint(constraint.vars, 0) not in merged:
-            entries[constraint] = merged[constraint]
-
-    # Empty-set constraints never stay stored.
-    entries.pop(TAUTOLOGY, None)
-    empty = entries.pop(EMPTY_CLAUSE, None)
-    if empty is not None:
-        floor += empty
-
-    entries = dict(sorted(entries.items()))
-    count = max(max_var, var_count or 0)
+    for vars_ in sorted(merged):  # key order: by variable set, parity 0 first
+        c0, w0, c1, w1 = merged[vars_]
+        if not vars_:  # the tautology is dropped, the empty clause joins the floor
+            floor += w1 or ZERO
+            continue
+        if w0 and w1:
+            cancel = min(w0, w1)
+            floor += cancel
+            w0 -= cancel
+            w1 -= cancel
+        if w0:
+            entries[c0] = w0
+        if w1:
+            entries[c1] = w1
+    count = max(max((v[-1] for v in merged if v), default=0), var_count or 0)
     return X2XProblem(entries=entries, floor=floor, var_count=count)
 
 

@@ -377,12 +377,7 @@ Cover = Dict[int, List[int]]  # double-cover key -> ascending neighbour keys
 def _cover_edges(constraint: XorConstraint):
     """Double-cover edges of a constraint on (u, v) at parity p: key ``2u + s``
     links to ``2v + (s ^ p)`` for both signs s, and the reverse."""
-    if constraint.arity == 1:
-        u, v = CONSTANT_NODE, constraint.vars[0]
-    elif constraint.arity == 2:
-        u, v = constraint.vars
-    else:
-        return ()
+    u, v = (CONSTANT_NODE, *constraint.vars) if constraint.arity == 1 else constraint.vars
     p = constraint.parity
     return (
         (2 * u, 2 * v + p),
@@ -397,8 +392,8 @@ class _CycleIndex:
 
     ``cover`` is the double cover's adjacency with every neighbour list kept
     sorted, so the search scans neighbours in ascending (variable, parity)
-    order.  ``parities`` records which parities each variable set carries
-    (bit p for parity p) and ``opposite`` the sets that carry both.
+    order.  ``parities`` records which parities each nonempty variable set
+    carries (bit p for parity p) and ``opposite`` the sets with both.
     """
 
     def __init__(self, entries: Iterable[XorConstraint]):
@@ -409,6 +404,8 @@ class _CycleIndex:
             self.add(constraint)
 
     def add(self, constraint: XorConstraint) -> None:
+        if not constraint.vars:
+            return
         mask = self.parities.get(constraint.vars, 0) | (1 << constraint.parity)
         self.parities[constraint.vars] = mask
         if mask == 3:
@@ -417,6 +414,8 @@ class _CycleIndex:
             insort(self.cover.setdefault(key, []), nbr)
 
     def discard(self, constraint: XorConstraint) -> None:
+        if not constraint.vars:
+            return
         mask = self.parities[constraint.vars] & ~(1 << constraint.parity)
         if mask:
             self.parities[constraint.vars] = mask
@@ -430,25 +429,20 @@ class _CycleIndex:
                 del self.cover[key]
 
 
-def _bfs_odd_walk(
-    cover: Cover, source: int, limit: Optional[int] = None
-) -> Optional[List[Tuple[int, int, int]]]:
+def _bfs_odd_walk(cover: Cover, source: int) -> Optional[List[Tuple[int, int, int]]]:
     """Shortest odd closed walk through ``source`` as (u, v, parity) edges.
 
     Breadth-first search on the double cover from key ``2*source`` to
     ``2*source + 1``, one level at a time: each level is a list of keys in
     discovery order and each key's neighbours are scanned in ascending
     order.  It returns at the first discovery of the goal, so among the
-    shortest walks it returns the one that this order reaches first.
-    Expanding a level can only close walks one edge longer than the level's
-    depth, so with a ``limit`` it returns None before the first level whose
-    walks would have ``limit`` or more edges.
+    shortest walks it returns the one that this order reaches first.  A
+    source on no edge has no walk.
     """
     start, goal = 2 * source, 2 * source + 1
     parents = {start: start}
-    level = [start]
-    length = 1  # edges in a walk closed while expanding ``level``
-    while level and (limit is None or length < limit):
+    level = [start] if start in cover else []
+    while level:
         following = []
         for key in level:
             for nxt in cover[key]:
@@ -465,7 +459,40 @@ def _bfs_odd_walk(
                     return edges
                 following.append(nxt)
         level = following
-        length += 1
+    return None
+
+
+def _odd_walk_length(cover: Cover, source: int, limit: Optional[int] = None) -> Optional[int]:
+    """Edges in the shortest odd closed walk through ``source``, or None.
+
+    Flipping every parity maps the double cover onto itself, so the walk
+    length is the least ``d(k) + d(k ^ 1)`` over keys k, with d the distance
+    from ``2*source``.  A key found at depth d whose twin is already known
+    gives ``2d - 1`` (twin one level up) or ``2d`` (twin on the same level),
+    so the search stops after depth ``ceil(length / 2)``.  With a ``limit``
+    it returns None instead of any length of ``limit`` or more edges.
+    """
+    depth = {2 * source: 0}
+    level = [2 * source]
+    d = 1  # depth of the keys found while expanding ``level``
+    while level and (limit is None or 2 * d - 1 < limit):
+        following = []
+        even = False
+        for key in level:
+            for nxt in cover[key]:
+                if nxt in depth:
+                    continue
+                depth[nxt] = d
+                twin = depth.get(nxt ^ 1)
+                if twin is not None:
+                    if twin < d:
+                        return 2 * d - 1
+                    even = True
+                following.append(nxt)
+        if even:
+            return 2 * d if limit is None or 2 * d < limit else None
+        level = following
+        d += 1
     return None
 
 
@@ -504,40 +531,62 @@ def _parity_balanced_triangle(cover: Cover) -> Optional[List[XorConstraint]]:
     return None
 
 
+def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[int, int, int]]]:
+    """The walk of the least source among those with the shortest odd closed
+    walk, as :func:`_bfs_odd_walk` builds it, or None.
+
+    Expects no opposite-parity pair, so no walk is shorter than three edges.
+    A three-edge walk ``2s, k, j, 2s + 1`` is a neighbour k of ``2s`` with a
+    neighbour j whose twin ``j ^ 1`` is also a neighbour of ``2s``; the first
+    such (k, j) in neighbour order is the walk that the search from s builds.
+    Failing that, each length search only has to beat the best so far, and
+    the scan ends at the first four-edge walk.
+    """
+    for s in sources:
+        nbrs = cover[2 * s]
+        twins = {key ^ 1 for key in nbrs}
+        for key in nbrs:
+            for far in cover[key]:
+                if far in twins:
+                    u, v = key >> 1, far >> 1
+                    return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ 1)]
+    best = winner = None
+    for s in sources:
+        length = _odd_walk_length(cover, s, best)
+        if length is not None:
+            best, winner = length, s
+            if length == 4:
+                break
+    return None if winner is None else _bfs_odd_walk(cover, winner)
+
+
 def _next_cycle(
     index: _CycleIndex, compact: bool = False, triangle_quota: int = 0
 ) -> Optional[Tuple[List[XorConstraint], str]]:
     """Next contractible cycle and its kind, in every saturation mode.
 
     First the opposite-parity pair with the least variable set (``pair``).
-    Then the shortest odd cycle (``odd``), searched from every node in
-    ascending order; in compact mode only from the constant node
-    (``unit-chain``), since unit-rule chains do not flip parities.  Then, in
-    compact mode while ``triangle_quota`` lasts, the least parity-balanced
-    triangle (``triangle``), which exercises the compact chain rules.
+    Then the shortest odd cycle (``odd``), from a triangle pass and
+    half-depth length searches that pick the winning source before its walk
+    is built; in compact mode the constant node's walk (``unit-chain``),
+    since unit-rule chains do not flip parities.  Then, in compact mode
+    while ``triangle_quota`` lasts, the least parity-balanced triangle
+    (``triangle``), which exercises the compact chain rules.
     """
     if index.opposite:
         vars_ = min(index.opposite)
         return [XorConstraint(vars_, 0), XorConstraint(vars_, 1)], "pair"
+    cover = index.cover
     if compact:
-        sources = [CONSTANT_NODE] if 2 * CONSTANT_NODE in index.cover else []
+        best = _bfs_odd_walk(cover, CONSTANT_NODE)
     else:
-        sources = [key >> 1 for key in sorted(index.cover) if not key & 1]
-    best: Optional[List[Tuple[int, int, int]]] = None
-    for s in sources:
-        # a later source must beat the best walk strictly; with no opposite
-        # pair left no odd walk is shorter than three edges
-        walk = _bfs_odd_walk(index.cover, s, None if best is None else len(best))
-        if walk is not None:
-            best = walk
-            if len(best) == 3:
-                break
+        best = _shortest_odd_walk(cover, [key >> 1 for key in sorted(cover) if not key & 1])
     if best is not None:
         cycle = [_edge_constraint(u, v, p) for u, v, p in best]
         if len(set(cycle)) == len(cycle):  # globally shortest odd walks are simple
             return cycle, "unit-chain" if compact else "odd"
     if compact and triangle_quota > 0:
-        triangle = _parity_balanced_triangle(index.cover)
+        triangle = _parity_balanced_triangle(cover)
         if triangle is not None:
             return triangle, "triangle"
     return None
@@ -550,16 +599,15 @@ def find_odd_cycle(
 
     Two-variable constraints are edges, unit constraints are edges to a
     virtual constant node; an opposite-parity pair is a two-cycle and comes
-    first.  Otherwise each node, ascending and the constant node first, is
-    the source of a search for its shortest odd closed walk, and the cycle
-    is the walk of the least source among those with the shortest walk.
-    Two early stops keep exactly that answer: a source's search gives up
-    once it could only find walks as long as the best so far, which the
-    least-source rule would not take, and the scan ends at a three-edge
-    walk, the shortest possible.  So the walk starts at the constant node
-    whenever the cycle passes through it, and the cycle's constraint order
-    is directly contractible.  The compact-mode search for unit chains is
-    the same search from the constant node alone.
+    first.  Otherwise the cycle is the walk of the least node (the constant
+    node first) among those with the shortest odd closed walk.  A triangle
+    pass finds the least node with a three-edge walk on the neighbour lists;
+    failing that, length searches that stop at half depth (flipping every
+    parity maps the double cover onto itself) pick the node, and one
+    breadth-first search builds its walk.  So the walk starts at the
+    constant node whenever the cycle passes through it, and the cycle's
+    constraint order is directly contractible.  The compact-mode search for
+    unit chains is the walk from the constant node alone.
     """
     entries = source.entries if isinstance(source, X2XProblem) else source
     found = _next_cycle(_CycleIndex(entries))
@@ -671,7 +719,7 @@ def saturate(
     fresh-variable chain rules instead of residue clauses and contracts up to
     ``COMPACT_TRIANGLE_QUOTA`` parity-balanced triangles.  Per round, rule
     applications are budgeted by the entry count at the round's start, which
-    enforces the linear derivation length.
+    enforces the linear derivation length; ``max_rounds`` must be an int >= 1.
 
     Only the ``xlate`` steps at a round's start lower the bound, so the best
     proof prefix ends at a round end.  Retranslation stops after the first
@@ -682,6 +730,8 @@ def saturate(
     """
     if mode not in MODES:
         raise Max2XorError(f"unknown mode {mode!r}; pick one of {MODES}")
+    if type(max_rounds) is not int or max_rounds < 1:
+        raise Max2XorError("retranslate rounds must be at least 1")
     provenance = problem_digest(source) if isinstance(source, X2XProblem) else ""
     state = make_state(source)
     state.index = _CycleIndex(state.entries)

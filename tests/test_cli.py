@@ -332,6 +332,21 @@ def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
         assert err.startswith(f"error: {binary} is not UTF-8 text:"), (argv, err)
 
 
+def test_bound_rejects_bad_round_counts(tmp_path, capsys):
+    source = tmp_path / "contradiction.cnf"
+    source.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    for mode, message in (
+        ("retranslate=0", "error: retranslate rounds must be at least 1"),
+        ("retranslate=-3", "error: retranslate rounds must be at least 1"),
+        ("retranslate=x", "error: bad round count in mode 'retranslate=x'"),
+    ):
+        code, _ = invoke("bound", str(source), "--mode", mode)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.splitlines() == [message]
+    assert not (tmp_path / "contradiction.x2xproof").exists()
+
+
 def test_usage_and_parse_errors(tmp_path, capsys):
     code, _ = invoke("no-such-command")
     assert code == EXIT_ERROR

@@ -7,11 +7,15 @@ import pytest
 
 from max2xor.core import (
     EMPTY_CLAUSE,
+    TAUTOLOGY,
+    ZERO,
     IncompleteAssignmentError,
     InvalidClauseError,
     InvalidWeightError,
     OrClause,
+    X2XProblem,
     XorConstraint,
+    check_weight,
     clause,
     evaluate,
     flip_variable,
@@ -160,6 +164,88 @@ def test_normalize_idempotent():
         again = normalize(problem.entries.items(), var_count=problem.var_count,
                           floor=problem.floor)
         assert again == problem
+
+
+# The merge-then-sort normalize that the one-pass grouping replaced: the
+# package's normalize must return exactly what this one returns.
+def _reference_normalize(raw, var_count=None, floor=ZERO):
+    merged = {}
+    max_var = 0
+    for constraint, weight in raw:
+        weight = check_weight(weight)
+        merged[constraint] = merged.get(constraint, ZERO) + weight
+        if constraint.vars:
+            max_var = max(max_var, constraint.vars[-1])
+    floor = Fraction(floor)
+    entries = {}
+    for constraint in sorted(merged):
+        if constraint.parity == 1:
+            continue
+        opposite = XorConstraint(constraint.vars, 1)
+        w0 = merged.get(constraint, ZERO)
+        w1 = merged.get(opposite, ZERO)
+        cancel = min(w0, w1)
+        floor += cancel
+        w0 -= cancel
+        w1 -= cancel
+        if w0 > 0:
+            entries[constraint] = w0
+        if w1 > 0:
+            entries[opposite] = w1
+    for constraint in sorted(merged):
+        if constraint.parity == 1 and XorConstraint(constraint.vars, 0) not in merged:
+            entries[constraint] = merged[constraint]
+    entries.pop(TAUTOLOGY, None)
+    empty = entries.pop(EMPTY_CLAUSE, None)
+    if empty is not None:
+        floor += empty
+    entries = dict(sorted(entries.items()))
+    return X2XProblem(entries=entries, floor=floor, var_count=max(max_var, var_count or 0))
+
+
+def _outcome(call):
+    try:
+        problem = call()
+    except Exception as exc:  # the error type and text must match too
+        return type(exc), str(exc)
+    return list(problem.entries.items()), problem.floor, problem.var_count
+
+
+def test_normalize_matches_reference():
+    """Entries, key order, floor, var_count and the first bad weight's error,
+    on raw lists with repeats, opposite pairs, the tautology, the empty
+    clause and int weights."""
+    rng = random.Random(1526)
+    seen = set()
+    for trial in range(3000):
+        nvars = rng.randint(1, 6)
+        raw = []
+        for _ in range(rng.randint(0, 14)):
+            vars_ = rng.sample(range(1, nvars + 1), min(nvars, rng.choice([0, 1, 2, 2, 2])))
+            weight = rng.choice([1, 2, F(1, 2), F(3, 2), F(5, 4)])
+            raw.append((xor(vars_, rng.randint(0, 1)), weight))
+            if rng.random() < 0.3:
+                raw.append(rng.choice(raw))  # a repeat
+        if trial % 40 == 0 and raw:
+            raw.insert(rng.randrange(len(raw)), (xor([1], 0), rng.choice([0, -1, F(-1, 2)])))
+        var_count = rng.choice([None, 0, 4, 9])
+        floor = rng.choice([0, F(1, 3), 2])
+        expected = _outcome(lambda: _reference_normalize(raw, var_count, floor))
+        assert _outcome(lambda: normalize(raw, var_count, floor)) == expected, raw
+        keys = [c for c, _ in raw]
+        seen.update(
+            tag
+            for tag, hit in (
+                ("error", expected[0] is InvalidWeightError),
+                ("repeat", len(set(keys)) < len(keys)),
+                ("opposite", any(XorConstraint(c.vars, 1 - c.parity) in keys for c in keys)),
+                ("empty", EMPTY_CLAUSE in keys),
+                ("tautology", TAUTOLOGY in keys),
+                ("int", any(type(w) is int for _, w in raw)),
+            )
+            if hit
+        )
+    assert seen == {"error", "repeat", "opposite", "empty", "tautology", "int"}
 
 
 def test_evaluate_totals():

@@ -9,7 +9,16 @@ from itertools import product
 
 import pytest
 
-from max2xor.core import EMPTY_CLAUSE, XorConstraint, clause, format_rational, normalize, xor
+from max2xor.core import (
+    EMPTY_CLAUSE,
+    TAUTOLOGY,
+    Max2XorError,
+    XorConstraint,
+    clause,
+    format_rational,
+    normalize,
+    xor,
+)
 from max2xor import proofs
 from max2xor.gadgets import (
     VarAllocator,
@@ -26,6 +35,7 @@ from max2xor.proofs import (
     RuleApplicationError,
     _CycleIndex,
     _next_cycle,
+    _odd_walk_length,
     _replay_step,
     apply_rule,
     bound_to_original,
@@ -250,6 +260,11 @@ def test_find_odd_cycle_on_problem_object():
     assert len(cycle) == 3
 
 
+def test_find_odd_cycle_ignores_empty_set_constraints():
+    # neither constraint on the empty set is an edge, so they form no pair
+    assert find_odd_cycle({EMPTY_CLAUSE: F(1), TAUTOLOGY: F(2), xor([1, 2], 0): F(1)}) is None
+
+
 # Reference search: every source, every search to full depth, the adjacency
 # rebuilt from the sorted entries on each call.  The engine's early-stopping
 # search must return exactly what this one returns.
@@ -388,6 +403,46 @@ def test_find_odd_cycle_matches_full_search():
     assert {None, 2, 3}.issubset(outcomes) and max(o or 0 for o in outcomes) > 3
 
 
+def _sparse_entry_sets(seed, count):
+    """Sparse graphs over 4-40 variables with n-1 to 2n pairs, about 5% of
+    them units, and no opposite-parity pair: odd cycles of many lengths."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 40)
+        entries = {}
+        for _ in range(rng.randint(n - 1, 2 * n)):
+            vs = rng.sample(range(1, n + 1), 1 if rng.random() < 0.05 else 2)
+            parity = rng.randint(0, 1)
+            if XorConstraint(tuple(sorted(vs)), parity ^ 1) not in entries:
+                entries[xor(vs, parity)] = F(rng.randint(1, 4))
+        yield entries
+
+
+def test_find_odd_cycle_matches_full_search_on_sparse_graphs():
+    lengths = set()
+    for entries in _sparse_entry_sets(31, 1500):
+        expected = _reference_find_odd_cycle(entries)
+        assert find_odd_cycle(entries) == expected, sorted(entries)
+        lengths.add(0 if expected is None else min(len(expected[0]), 7))
+    assert lengths == {0, 3, 4, 5, 6, 7}
+
+
+def test_odd_walk_length_is_the_full_search_length():
+    lengths = set()
+    for entries in _sparse_entry_sets(5, 150):
+        cover = _CycleIndex(entries).cover
+        adj = _reference_adjacency(entries)
+        for s in sorted(adj):
+            walk = _reference_bfs_odd_walk(adj, s)
+            length = None if walk is None else len(walk)
+            assert _odd_walk_length(cover, s) == length, (sorted(entries), s)
+            for limit in (3, 4, 5, 6, 9):
+                below = length if length is not None and length < limit else None
+                assert _odd_walk_length(cover, s, limit) == below, (sorted(entries), s, limit)
+            lengths.add(length)
+    assert {None, 3, 4, 5, 6, 7, 8}.issubset(lengths)
+
+
 def test_compact_finder_matches_full_search():
     kinds = set()
     for entries in _random_entry_sets(77, 300):
@@ -522,6 +577,17 @@ def test_retranslate_keeps_the_last_round_that_raised_the_bound():
     assert replace(three, round_stats=()) == replace(two, round_stats=())
     verdict = check_proof(problem, three_steps, three)
     assert verdict.accepted and verdict.summary.rounds == 2
+
+
+@pytest.mark.parametrize("rounds", [0, -3, 2.5, "2", True, None])
+def test_saturate_rejects_bad_round_counts_before_any_work(rounds, monkeypatch):
+    def no_work(source):
+        raise AssertionError("saturate did work before checking max_rounds")
+
+    monkeypatch.setattr(proofs, "make_state", no_work)
+    for mode in MODES:
+        with pytest.raises(Max2XorError, match="^retranslate rounds must be at least 1$"):
+            saturate([(xor([1], 0), F(1)), (xor([1], 1), F(1))], mode=mode, max_rounds=rounds)
 
 
 def test_saturate_properties_on_random_problems():
