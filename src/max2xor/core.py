@@ -68,7 +68,7 @@ class ParseError(Max2XorError):
 def check_weight(weight: Fraction) -> Fraction:
     if type(weight) is not Fraction:
         weight = Fraction(weight)
-    if weight <= 0:
+    if weight.numerator <= 0:  # the sign of a Fraction, without its slower comparison
         raise InvalidWeightError(f"weight must be positive, got {weight}")
     return weight
 

@@ -31,6 +31,14 @@ component over ``prefix + component``, keeping its least value per row;
 full enumeration is ``p = n``.  The witness stays lexicographically least: the
 prefix bits are the most significant, so the first least row comes first, and
 the least optimal suffix is each independent component's first argmin there.
+
+``verify_gadget`` keeps the source bits as rows and minimises the auxiliaries
+out one bucket at a time.  The order comes first: the auxiliary whose bucket
+(its unused items and earlier tables) spans the fewest auxiliaries, the least
+on ties.  A bucket is one kernel call over ``source + scope`` plus its earlier
+tables, and ``np.minimum`` of its halves leaves a table over the rest.  A
+bucket over more than three auxiliaries (a table over ``2**(ns + 3)`` cells),
+or buckets taking half the cells of one call or more, fall back to that call.
 """
 
 from __future__ import annotations
@@ -73,6 +81,8 @@ class GadgetVerdict:
     beta: Fraction
     counterexample: Optional[Tuple[Dict[int, int], Fraction]] = None
     reason: Optional[str] = None
+    # integer work counts: kernel ``cells`` enumerated, auxiliaries ``eliminated``
+    stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def _item_vars(item) -> Tuple[int, ...]:
@@ -93,9 +103,9 @@ def _scaled(
 ) -> Tuple[List[Fraction], int, List[int]]:
     """Exact item weights, the lcm of their and ``extra``'s denominators, and
     the item weights times that scale."""
-    weights = [Fraction(w) for _, w in items]
+    weights = [w if type(w) is Fraction else Fraction(w) for _, w in items]
     scale = math.lcm(*(w.denominator for w in weights + list(extra)))
-    return weights, scale, [int(w * scale) for w in weights]
+    return weights, scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _guard(nvars: int, max_vars: int) -> None:
@@ -317,11 +327,52 @@ def brute_opt_cost(problem: X2XProblem, max_vars: int = MAX_ORACLE_VARS) -> Orac
     return brute_opt_cost_items(problem.sorted_entries(), floor=problem.floor, max_vars=max_vars)
 
 
+def _buckets(item_aux: Sequence[Tuple[int, ...]], aux_order: Sequence[int]):
+    """``(auxiliary, sorted bucket scope)`` pairs in elimination order, or None
+    to fall back to one call (see the module docstring)."""
+    joined = {a: {a} for a in aux_order}
+    for vs in item_aux:
+        for v in vs:
+            joined[v].update(vs)
+    plan = []
+    while joined:
+        a = min(joined, key=lambda v: (len(joined[v]), v))
+        scope = joined.pop(a)
+        if len(scope) > 3:
+            return None
+        for v in scope - {a}:
+            joined[v] = (joined[v] | scope) - {a}
+        plan.append((a, sorted(scope)))
+    return plan if plan and sum(2 << len(s) for _, s in plan) < 1 << len(plan) else None
+
+
+def _eliminate(items, scaled, item_aux, src_order, plan) -> Tuple[np.ndarray, int]:
+    """Least scaled unsatisfied weight of each source row, the auxiliaries
+    minimised out in ``plan`` order, and the kernel cells enumerated."""
+    rows = 1 << len(src_order)
+    dtype = _dtype_for(sum(abs(w) for w in scaled))
+    step = {a: j for j, (a, _) in enumerate(plan)}
+    # an item joins the bucket of its first eliminated auxiliary, a source-only one the last
+    home = [min((step[v] for v in vs), default=len(plan) - 1) for vs in item_aux]
+    tables: List[Tuple[List[int], np.ndarray]] = []  # (sorted scope, table) not yet added
+    for j, (a, scope) in enumerate(plan):
+        ids = [i for i, h in enumerate(home) if h == j]
+        table = np.empty(rows << len(scope), dtype=dtype)
+        chunks = _unsat_chunks([items[i] for i in ids], [scaled[i] for i in ids], src_order + scope)
+        for start, unsat in chunks:
+            table[start : start + unsat.size] = unsat
+        table = table.reshape((rows,) + (2,) * len(scope))
+        for s, t in tables:
+            if a in s:
+                table += t.reshape((rows,) + tuple(2 if v in s else 1 for v in scope))
+        tables = [(s, t) for s, t in tables if a not in s]
+        halves = np.moveaxis(table, 1 + scope.index(a), 0)  # np.minimum beats .min(axis=) here
+        tables.append(([v for v in scope if v != a], np.minimum(*halves)))
+    return sum(t for _, t in tables), sum(rows << len(s) for _, s in plan)
+
+
 def verify_gadget(
-    source,
-    translation: Sequence[WeightedItem],
-    claimed,
-    max_vars: int = MAX_ORACLE_VARS,
+    source, translation: Sequence[WeightedItem], claimed, max_vars: int = MAX_ORACLE_VARS
 ) -> GadgetVerdict:
     """Certify claimed (alpha, beta) parameters of a translation.
 
@@ -331,51 +382,39 @@ def verify_gadget(
     beta must equal the total translation weight.  Returns the first failing
     source assignment with the achieved maximum otherwise.
     """
-    alpha = Fraction(claimed.alpha)
-    beta = Fraction(claimed.beta)
+    alpha, beta = Fraction(claimed.alpha), Fraction(claimed.beta)
     weights, scale, scaled = _scaled(translation, alpha)
     total = sum(weights, ZERO)
     if total != beta:
-        return GadgetVerdict(
-            certified=False,
-            alpha=alpha,
-            beta=beta,
-            reason=f"claimed beta {beta} differs from total weight {total}",
-        )
+        reason = f"claimed beta {beta} differs from total weight {total}"
+        return GadgetVerdict(False, alpha, beta, None, reason, dict(cells=0, eliminated=0))
 
     src_order = sorted(set(_item_vars(source)))
     src_set = set(src_order)
-    aux_order = [v for v in _collect_vars(translation) if v not in src_set]
+    item_aux = [tuple(v for v in _item_vars(c) if v not in src_set) for c, _ in translation]
+    aux_order = sorted({v for vs in item_aux for v in vs})
     ns, na = len(src_order), len(aux_order)
     _guard(ns + na, max_vars)
 
-    # Source bits are the most significant, so each source row is a run of
-    # 2**na consecutive indices; keep the least unsatisfied weight of each.
-    order = src_order + aux_order
-    least, _ = _row_minima(_unsat_chunks(translation, scaled, order), na, 1 << ns)
+    plan = _buckets(item_aux, aux_order)
+    if plan is None:  # source bits lead, so each source row is a run of 2**na indices
+        chunks = _unsat_chunks(translation, scaled, src_order + aux_order)
+        least, cells = _row_minima(chunks, na, 1 << ns)[0], 1 << (ns + na)
+    else:
+        least, cells = _eliminate(translation, scaled, item_aux, src_order, plan)
 
-    # The target of each row is alpha less 1 where the source is unsatisfied,
-    # which the kernel reads from the row index bits.
-    total_scaled = sum(scaled)
-    alpha_scaled = int(alpha * scale)
-    source_unsat = (
-        value
-        for _, unsat in _unsat_chunks([(source, 1)], [1], src_order)
-        for value in unsat.tolist()
-    )
-    for i, (unsat, missed) in enumerate(zip(least.tolist(), source_unsat)):
-        target = alpha_scaled - missed * scale
-        if total_scaled - unsat != target:
-            assignment = _index_to_assignment(i, src_order)
-            achieved = Fraction(total_scaled - unsat, scale)
-            return GadgetVerdict(
-                certified=False,
-                alpha=alpha,
-                beta=beta,
-                counterexample=(assignment, achieved),
-                reason=(
-                    f"source assignment {assignment} reaches {achieved}, "
-                    f"expected {Fraction(target, scale)}"
-                ),
-            )
-    return GadgetVerdict(certified=True, alpha=alpha, beta=beta)
+    # Each row's target is alpha, less 1 where the source is unsatisfied,
+    # which the kernel reads from the row index bits; the first wrong row fails.
+    missed = np.concatenate([u for _, u in _unsat_chunks([(source, 1)], [1], src_order)])
+    total_scaled, alpha_scaled = sum(scaled), int(alpha * scale)
+    least_sat = total_scaled - alpha_scaled  # the least unsatisfied weight of a satisfied row
+    wrong = np.flatnonzero(np.where(missed, least != least_sat + scale, least != least_sat))
+    stats = dict(cells=cells + (1 << ns), eliminated=0 if plan is None else na)
+    if not wrong.size:
+        return GadgetVerdict(True, alpha, beta, stats=stats)
+    i = int(wrong[0])
+    assignment = _index_to_assignment(i, src_order)
+    achieved = Fraction(total_scaled - int(least[i]), scale)
+    expected = Fraction(alpha_scaled - int(missed[i]) * scale, scale)
+    reason = f"source assignment {assignment} reaches {achieved}, expected {expected}"
+    return GadgetVerdict(False, alpha, beta, (assignment, achieved), reason, stats)

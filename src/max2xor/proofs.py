@@ -462,7 +462,9 @@ def _bfs_odd_walk(cover: Cover, source: int) -> Optional[List[Tuple[int, int, in
     return None
 
 
-def _odd_walk_length(cover: Cover, source: int, limit: Optional[int] = None) -> Optional[int]:
+def _odd_walk_length(
+    cover: Cover, source: int, limit: Optional[int] = None, depth: Optional[Dict[int, int]] = None
+) -> Optional[int]:
     """Edges in the shortest odd closed walk through ``source``, or None.
 
     Flipping every parity maps the double cover onto itself, so the walk
@@ -470,9 +472,11 @@ def _odd_walk_length(cover: Cover, source: int, limit: Optional[int] = None) -> 
     from ``2*source``.  A key found at depth d whose twin is already known
     gives ``2d - 1`` (twin one level up) or ``2d`` (twin on the same level),
     so the search stops after depth ``ceil(length / 2)``.  With a ``limit``
-    it returns None instead of any length of ``limit`` or more edges.
+    it returns None instead of any length of ``limit`` or more edges.  An
+    empty ``depth`` dict passed in is left holding every key reached.
     """
-    depth = {2 * source: 0}
+    depth = {} if depth is None else depth
+    depth[2 * source] = 0
     level = [2 * source]
     d = 1  # depth of the keys found while expanding ``level``
     while level and (limit is None or 2 * d - 1 < limit):
@@ -540,7 +544,8 @@ def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[
     neighbour j whose twin ``j ^ 1`` is also a neighbour of ``2s``; the first
     such (k, j) in neighbour order is the walk that the search from s builds.
     Failing that, each length search only has to beat the best so far, and
-    the scan ends at the first four-edge walk.
+    the scan ends at the first four-edge walk.  A search without a limit
+    that finds no walk clears its whole component: no source there has one.
     """
     for s in sources:
         nbrs = cover[2 * s]
@@ -551,12 +556,18 @@ def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[
                     u, v = key >> 1, far >> 1
                     return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ 1)]
     best = winner = None
+    bipartite: Set[int] = set()  # sources in components without an odd cycle
     for s in sources:
-        length = _odd_walk_length(cover, s, best)
+        if s in bipartite:
+            continue
+        reached: Dict[int, int] = {}
+        length = _odd_walk_length(cover, s, best, reached)
         if length is not None:
             best, winner = length, s
             if length == 4:
                 break
+        elif best is None:
+            bipartite.update(key >> 1 for key in reached)
     return None if winner is None else _bfs_odd_walk(cover, winner)
 
 

@@ -237,15 +237,23 @@ def _reference_brute(items, floor):
     return total - best, floor + best, witness
 
 
-def _reference_verdict(source, translation, alpha, beta):
+def _reference_rows(source, translation):
+    """Each source assignment, lexicographically, with the best satisfied
+    weight over its extensions to the auxiliaries."""
     total = sum((w for _, w in translation), F(0))
-    if total != beta:
-        return False, None, f"claimed beta {beta} differs from total weight {total}"
     src = sorted(set(source.variables()))
     aux = sorted({v for c, _ in translation for v in _vars_of(c)} - set(src))
     for values in product((0, 1), repeat=len(src)):
         assignment = dict(zip(src, values))
-        best = max(total - unsat for _, unsat in _reference_profile(translation, aux, assignment))
+        extensions = _reference_profile(translation, aux, assignment)
+        yield assignment, max(total - unsat for _, unsat in extensions)
+
+
+def _reference_verdict(source, translation, alpha, beta, rows=None):
+    total = sum((w for _, w in translation), F(0))
+    if total != beta:
+        return False, None, f"claimed beta {beta} differs from total weight {total}"
+    for assignment, best in rows or _reference_rows(source, translation):
         expected = alpha if source.satisfied_by(assignment) else alpha - 1
         if best != expected:
             reason = f"source assignment {assignment} reaches {best}, expected {expected}"
@@ -543,3 +551,122 @@ def test_verify_gadget_on_shipped_families(chunk_bits, monkeypatch):
                 expected = _reference_verdict(source, translation, alpha, claimed.beta)
                 assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
                 assert verdict.certified == (alpha == claimed.alpha)
+
+
+# ---------------------------------------------------------------------------
+# Bucket elimination of the auxiliaries against the Fraction reference
+
+
+def test_verify_gadget_matches_fraction_reference_on_wide_gadgets(monkeypatch):
+    # the sequential and a seeded random-tree translation of widths 2-9, under
+    # both chunk sizes; at 2 chunk bits every bucket table spans several chunks
+    from max2xor.gadgets import VarAllocator, clause_params, tree_gadget
+
+    rng = random.Random("wide")
+    eliminated = set()
+    for k in range(2, 10):
+        source = clause(*[v if rng.random() < 0.5 else -v for v in range(1, k + 1)])
+        params = clause_params(k)
+        for shape in (TreeShape.left_comb(k), TreeShape.random(k, rng)):
+            translation = tree_gadget(source, shape, None, VarAllocator(k + 1))
+            rows = list(_reference_rows(source, translation))
+            alphas = (params.alpha, params.alpha - H, params.alpha + 1)
+            for chunk_bits, alpha in product((16, 2), alphas):
+                monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+                claimed = GadgetParams(alpha, params.beta, None)
+                verdict = verify_gadget(source, translation, claimed)
+                expected = _reference_verdict(source, translation, alpha, params.beta, rows)
+                assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
+                assert verdict.certified == (alpha == params.alpha)
+                if verdict.stats["eliminated"]:
+                    eliminated.add(k)
+    assert eliminated == {8, 9}
+
+
+def _mixed_translation(rng, weight):
+    """A source clause of width 1-3 and a translation over it and 4-8
+    auxiliaries: parity pairs among the auxiliaries at a random density or none,
+    source-auxiliary pairs, clause items of ``trevisan_3to2`` and
+    ``chain_to_3sat`` and full-parity items, all reweighted by ``weight``."""
+    from max2xor.gadgets import VarAllocator, chain_to_3sat, expand_full_parity, trevisan_3to2
+
+    k = rng.randint(1, 3)
+    source = clause(*[v if rng.random() < 0.5 else -v for v in range(1, k + 1)])
+    target = rng.randint(4, 8)
+    # chain_to_3sat adds width - 3 variables and needs width names
+    width = rng.choice([4, 5]) if k + target >= 7 else 4
+    alloc = VarAllocator(k + 1)
+    names = list(range(1, k + 1)) + [alloc.fresh() for _ in range(target - width + 2)]
+
+    def some_clause(n):
+        return clause(*[v if rng.random() < 0.5 else -v for v in rng.sample(names, n)])
+
+    items = trevisan_3to2(some_clause(3), alloc)
+    names.append(alloc.next_id - 1)  # its fresh variable
+    items += chain_to_3sat(some_clause(width), alloc)
+    items += expand_full_parity(some_clause(rng.randint(2, 3)))
+    aux = list(range(k + 1, k + 1 + target))
+    density = rng.choice([0.0, rng.random()])
+    for i, u in enumerate(aux):
+        items += [(xor([u, v], rng.randint(0, 1)), 1) for v in aux[:i] if rng.random() < density]
+        if rng.random() < 0.5:
+            items.append((xor([u, rng.randint(1, k)], rng.randint(0, 1)), 1))
+    rng.shuffle(items)
+    return source, [(c, weight(rng)) for c, _ in items]
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 2])
+def test_verify_gadget_on_mixed_translations(chunk_bits, monkeypatch):
+    # dense auxiliaries fall back to one call over every cell; sparse ones
+    # are eliminated, with clause and full-parity items in the buckets
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(f"mixed/{chunk_bits}")
+    counts = {"fallback": 0, "eliminated": 0, "object": 0}
+    for trial in range(60):
+        weight = WEIGHTS[("small", "fractional", "object")[trial % 3]]
+        source, translation = _mixed_translation(rng, weight)
+        total = sum((w for _, w in translation), F(0))
+        rows = list(_reference_rows(source, translation))
+        # every other trial claims the all-zero row's best, so that row passes
+        alpha = F(rng.randint(0, 8), 2)
+        if trial % 2:
+            alpha = rows[0][1] + (0 if source.satisfied_by(rows[0][0]) else 1)
+        verdict = verify_gadget(source, translation, GadgetParams(alpha, total, None))
+        expected = _reference_verdict(source, translation, alpha, total, rows)
+        assert (verdict.certified, verdict.counterexample, verdict.reason) == expected
+        counts["eliminated" if verdict.stats["eliminated"] else "fallback"] += 1
+        counts["object"] += oracle._dtype_for(sum(oracle._scaled(translation)[2])) is object
+    assert counts["fallback"] >= 20, counts
+    assert counts["eliminated"] >= 5 and counts["object"] >= 10, counts
+
+
+def test_verify_gadget_stats_count_kernel_cells():
+    from max2xor.gadgets import VarAllocator, clause_params, sequential_gadget
+
+    def stats(k):
+        cl = clause(*range(1, k + 1))
+        translation = sequential_gadget(cl, None, VarAllocator(k + 1))
+        verdict = verify_gadget(cl, translation, clause_params(k))
+        assert verdict.certified
+        return verdict.stats
+
+    # width 11: nine auxiliaries eliminated one at a time, eight buckets over
+    # the 2**11 source rows and two auxiliaries and the last over one, then
+    # the 2**11 source check; enumerating every cell takes 2**20
+    assert stats(11) == {"cells": 8 * 2**13 + 2**12 + 2**11, "eliminated": 9}
+    # width 5: the buckets would take 2**7 + 2**7 + 2**6 cells, over half of
+    # 2**8, so one call enumerates every cell
+    assert stats(5) == {"cells": 2**8 + 2**5, "eliminated": 0}
+    # a path of ten auxiliaries would pay, but four more joined pairwise need
+    # a bucket spanning four, so one call enumerates every cell
+    path = [(xor([1, 2], 0), F(1))] + [(xor([u, u + 1], 1), F(1)) for u in range(2, 11)]
+    assert verify_gadget(clause(1), path, GadgetParams(F(10), F(10), None)).stats == {
+        "cells": 9 * 2**3 + 2**2 + 2**1,
+        "eliminated": 10,
+    }
+    pairs = [(xor([u, v], 1), F(1)) for u in range(12, 16) for v in range(u + 1, 16)]
+    translation = path + pairs + [(xor([1, 12], 0), F(1))]
+    verdict = verify_gadget(clause(1), translation, GadgetParams(F(13), F(17), None))
+    assert verdict.stats == {"cells": 2**15 + 2**1, "eliminated": 0}
+    verdict = verify_gadget(clause(1), translation, GadgetParams(F(13), F(16), None))
+    assert "beta" in verdict.reason and verdict.stats == {"cells": 0, "eliminated": 0}

@@ -427,6 +427,72 @@ def test_find_odd_cycle_matches_full_search_on_sparse_graphs():
     assert lengths == {0, 3, 4, 5, 6, 7}
 
 
+def _components_entry_sets(seed, count):
+    """Several components over shuffled variable ids: 1-4 without an odd
+    cycle (parities read off a hidden assignment; the constant node 0 may join
+    one of them) and one whose shortest odd cycle has 5-9 edges, with pendant
+    edges.  Yields the entries, the bipartite components' node sets and the
+    odd component's least variable."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = [rng.randint(2, 7) for _ in range(rng.randint(1, 4))]
+        length, pendants = rng.randint(5, 9), rng.randint(0, 3)
+        ids = list(range(1, sum(sizes) + length + pendants + 1))
+        rng.shuffle(ids)
+        entries, bipartite = {}, []
+        for i, size in enumerate(sizes):
+            nodes, ids = ids[:size], ids[size:]
+            hidden = {v: rng.randint(0, 1) for v in nodes}
+            pairs = [(v, rng.choice(nodes[:j])) for j, v in enumerate(nodes) if j]
+            pairs += [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, size))]
+            for u, v in pairs:
+                entries[xor([u, v], hidden[u] ^ hidden[v])] = F(rng.randint(1, 3))
+            if i == 0 and rng.random() < 0.5:  # units tie this one to the constant node
+                for v in rng.sample(nodes, rng.randint(1, 2)):
+                    entries[xor([v], hidden[v])] = F(1)
+                nodes = nodes + [0]
+            bipartite.append(set(nodes))
+        ring, pendant_ids = ids[:length], ids[length:]
+        parities = [rng.randint(0, 1) for _ in range(length - 1)]
+        parities.append(1 ^ sum(parities) % 2)
+        for j, parity in enumerate(parities):
+            entries[xor([ring[j], ring[(j + 1) % length]], parity)] = F(rng.randint(1, 3))
+        for j, v in enumerate(pendant_ids):
+            entries[xor([v, rng.choice(ring + pendant_ids[:j])], rng.randint(0, 1))] = F(1)
+        yield entries, bipartite, min(ring + pendant_ids)
+
+
+def test_find_odd_cycle_matches_full_search_past_bipartite_components():
+    lengths = set()
+    for entries, _, _ in _components_entry_sets(12, 300):
+        expected = _reference_find_odd_cycle(entries)
+        assert find_odd_cycle(entries) == expected, sorted(entries)
+        lengths.add(len(expected[0]))
+    assert lengths == {5, 6, 7, 8, 9}
+
+
+def test_find_odd_cycle_searches_a_bipartite_component_once(monkeypatch):
+    # a component searched without a limit and found free of odd walks is
+    # not searched again; one searched after the odd one may be, with limits
+    searched = []
+    length_of = proofs._odd_walk_length
+
+    def counting(cover, source, limit=None, depth=None):
+        searched.append(source)
+        return length_of(cover, source, limit, depth)
+
+    monkeypatch.setattr(proofs, "_odd_walk_length", counting)
+    skipped = 0
+    for entries, bipartite, odd_least in _components_entry_sets(12, 300):
+        searched.clear()
+        find_odd_cycle(entries)
+        for nodes in bipartite:
+            if min(nodes) < odd_least:
+                assert sum(s in nodes for s in searched) == 1, (sorted(entries), nodes)
+                skipped += len(nodes) - 1
+    assert skipped > 300
+
+
 def test_odd_walk_length_is_the_full_search_length():
     lengths = set()
     for entries in _sparse_entry_sets(5, 150):
