@@ -4,7 +4,9 @@ Everything downstream (gadget translations, brute-force oracles, the
 resolution engine) works on the types defined here: OR clauses over signed
 DIMACS-style literals, parity (XOR) constraints with at most two variables,
 and normalized weighted problems.  All weights are `fractions.Fraction`;
-there is no floating point anywhere in the package.
+there is no floating point anywhere in the package.  The proof engine and
+the oracles' enumerations compute on integers over one common denominator
+inside, and every value they return is a `Fraction` again.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ class XorConstraint:
     parity: int
 
     def __post_init__(self):
+        vs, n = self.vars, len(self.vars)
+        if self.parity in (0, 1) and (n == 2 and 0 < vs[0] < vs[1] or n == 1 and vs[0] > 0 or not n):
+            return
         if len(self.vars) > 2:
             raise ArityError(f"at most 2 variables per parity constraint, got {self.vars}")
         if list(self.vars) != sorted(set(self.vars)):
@@ -130,6 +135,14 @@ class OrClause:
     lits: Tuple[int, ...]
 
     def __post_init__(self):
+        last = 0
+        for l in self.lits:  # valid iff the variables are positive and strictly ascend
+            v = l if l > 0 else -l
+            if v <= last:
+                break
+            last = v
+        else:
+            return
         if any(l == 0 for l in self.lits):
             raise InvalidClauseError("literal 0 is not allowed")
         seen = set()

@@ -26,9 +26,11 @@ appear in the log.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     EMPTY_CLAUSE,
@@ -44,7 +46,7 @@ from .core import (
     normalize,
 )
 from .gadgets import CompileReport, VarAllocator, problem_digest
-from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
+from .oracle import _collect_vars, _index_to_assignment, _scaled, unsat_weight_profile
 
 
 class RuleApplicationError(Max2XorError):
@@ -80,14 +82,32 @@ class ProofStep:
 
 @dataclass
 class ProofState:
-    """Evolving multiset the engine and the checker both replay against."""
+    """Evolving multiset the engine and the checker both replay against.
 
-    entries: Dict[XorConstraint, Fraction] = field(default_factory=dict)
-    floor: Fraction = ZERO
-    residues: Dict[OrClause, Fraction] = field(default_factory=dict)
-    offset_total: Fraction = ZERO
+    Weights are integers in units of ``1/scale``, the lcm of the input's
+    weight denominators.  Rules fire at present weights, and the ``xlate``
+    rules halve residues, which enter at twice a present weight, so updates
+    stay whole; one that does not raises, never rounds.  ``entries``,
+    ``residues``, ``floor`` and ``offset_total`` read the state as Fractions.
+    """
+
+    scale: int = 1
+    entry_units: Dict[XorConstraint, int] = field(default_factory=dict)
+    floor_units: int = 0
+    residue_units: Dict[OrClause, int] = field(default_factory=dict)
+    offset_units: int = 0
     seen_vars: Set[int] = field(default_factory=set)
-    index: Optional[_CycleIndex] = None  # kept in step with ``entries`` when set
+    index: Optional[_CycleIndex] = None  # kept in step with ``entry_units`` when set
+
+    # read-only copies, for reading the state outside the engine
+    entries = property(lambda self: _fractions(self.entry_units, self.scale))
+    residues = property(lambda self: _fractions(self.residue_units, self.scale))
+    floor = property(lambda self: Fraction(self.floor_units, self.scale))
+    offset_total = property(lambda self: Fraction(self.offset_units, self.scale))
+
+
+def _fractions(units: Dict[object, int], scale: int) -> Mapping[object, Fraction]:
+    return MappingProxyType({key: Fraction(u, scale) for key, u in units.items()})
 
 
 RawItems = Iterable[Tuple[XorConstraint, Fraction]]
@@ -99,23 +119,22 @@ def make_state(source: Union[X2XProblem, RawItems]) -> ProofState:
     Raw input is merged by key only: opposite-parity pairs are kept so that
     their cancellation shows up as explicit contradiction steps.
     """
-    state = ProofState()
     if isinstance(source, X2XProblem):
-        state.entries = dict(source.entries)
-        state.floor = source.floor
-        state.seen_vars = set(range(1, source.var_count + 1))
-        for constraint in source.entries:
-            state.seen_vars.update(constraint.vars)
-        return state
-    for constraint, weight in source:
-        weight = check_weight(weight)
+        items = [(constraint, check_weight(w)) for constraint, w in source.entries.items()]
+        items.append((EMPTY_CLAUSE, source.floor))  # the floor is always-false weight
+        seen = set(range(1, source.var_count + 1))
+    else:
+        items, seen = [(constraint, check_weight(w)) for constraint, w in source], set()
+    _, scale, units = _scaled(items)
+    state = ProofState(scale, seen_vars=seen)
+    for (constraint, _), u in zip(items, units):
         if constraint == TAUTOLOGY:
             continue
         if constraint == EMPTY_CLAUSE:
-            state.floor += weight
+            state.floor_units += u
             continue
-        state.entries[constraint] = state.entries.get(constraint, ZERO) + weight
-        state.seen_vars.update(constraint.vars)
+        state.entry_units[constraint] = state.entry_units.get(constraint, 0) + u
+        seen.update(constraint.vars)
     return state
 
 
@@ -291,12 +310,23 @@ def build_step(
 # State transition
 
 
+def _times(units: int, factor: Fraction, scale: int) -> int:
+    """``units * factor``, which must be a whole number of units."""
+    product, rest = divmod(units * factor.numerator, factor.denominator)
+    if rest:
+        raise RuleApplicationError(
+            f"{Fraction(units, scale) * factor} is not a whole multiple of 1/{scale}"
+        )
+    return product
+
+
 def _replay_step(state: ProofState, step: ProofStep) -> None:
     """Apply a built step after checking its weights and its fresh variable.
 
     The engine and the checker both change a state only through here.
     """
-    pool = state.residues if RULES[step.rule].form == "clause" else state.entries
+    scale, entries = state.scale, state.entry_units
+    pool = state.residue_units if RULES[step.rule].form == "clause" else entries
     lightest = None
     for premise in step.premises:
         present = pool.get(premise)
@@ -304,36 +334,39 @@ def _replay_step(state: ProofState, step: ProofStep) -> None:
             raise RuleApplicationError(f"{step.rule} premise {premise} not present")
         if lightest is None or present < lightest:
             lightest = present
-    if step.weight != lightest:
+    per, rest = divmod(scale, step.weight.denominator)
+    weight = None if rest else step.weight.numerator * per  # off the grid: no premise weight
+    if weight != lightest:
         raise RuleApplicationError(
             f"applied weight {step.weight} must equal the lightest premise weight "
-            f"{lightest} (one premise is consumed entirely)"
+            f"{Fraction(lightest, scale)} (one premise is consumed entirely)"
         )
     if step.fresh_var is not None and step.fresh_var in state.seen_vars:
         raise PatternError(f"variable {step.fresh_var} is not fresh")
     for premise in step.premises:
-        remaining = pool[premise] - step.weight
+        remaining = pool[premise] - weight
         if remaining == 0:
             del pool[premise]
-            if pool is state.entries and state.index is not None:
+            if pool is entries and state.index is not None:
                 state.index.discard(premise)
         else:
             pool[premise] = remaining
     for constraint, multiplier in step.conclusions:
-        added = step.weight * multiplier
+        added = _times(weight, multiplier, scale)
         if constraint == EMPTY_CLAUSE:
-            state.floor += added
+            state.floor_units += added
             continue
-        if constraint in state.entries:
-            state.entries[constraint] += added
+        if constraint in entries:
+            entries[constraint] += added
         else:
-            state.entries[constraint] = added
+            entries[constraint] = added
             if state.index is not None:
                 state.index.add(constraint)
         state.seen_vars.update(constraint.vars)
     for cl, multiplier in step.residues:
-        state.residues[cl] = state.residues.get(cl, ZERO) + step.weight * multiplier
-    state.offset_total += step.offset
+        state.residue_units[cl] = state.residue_units.get(cl, 0) + _times(weight, multiplier, scale)
+    if step.offset:
+        state.offset_units += _times(scale, step.offset, scale)
     if step.fresh_var is not None:
         state.seen_vars.add(step.fresh_var)
 
@@ -671,7 +704,7 @@ def _summarize(
     provenance: str = "",
 ) -> ProofSummary:
     return ProofSummary(
-        bound_m=state.floor - state.offset_total,
+        bound_m=Fraction(state.floor_units - state.offset_units, state.scale),
         residual=normalize(state.entries.items(), var_count=var_count),
         residue_clauses=tuple(sorted(state.residues.items())),
         rounds=rounds,
@@ -702,16 +735,17 @@ def _contract_cycle(
     alloc: VarAllocator,
     steps: List[ProofStep],
 ) -> int:
+    units, scale = state.entry_units, state.scale
     acc = cycle[0]
     for edge in cycle[1:-1]:
         rule, premises = _combine(acc, edge, compact)
-        weight = min(state.entries[premises[0]], state.entries[premises[1]])
+        weight = Fraction(min(units[premises[0]], units[premises[1]]), scale)
         _, step = apply_rule(state, rule, premises, weight, alloc)
         steps.append(step)
         acc = step.conclusions[0][0]
     closing = cycle[-1]
     premises = (acc, closing) if acc.parity == 0 else (closing, acc)
-    weight = min(state.entries[premises[0]], state.entries[premises[1]])
+    weight = Fraction(min(units[premises[0]], units[premises[1]]), scale)
     _, step = apply_rule(state, "contra", premises, weight)
     steps.append(step)
     return len(cycle) - 1
@@ -745,24 +779,24 @@ def saturate(
         raise Max2XorError("retranslate rounds must be at least 1")
     provenance = problem_digest(source) if isinstance(source, X2XProblem) else ""
     state = make_state(source)
-    state.index = _CycleIndex(state.entries)
+    state.index = _CycleIndex(state.entry_units)
     alloc = VarAllocator(max(state.seen_vars, default=0) + 1)
     steps: List[ProofStep] = []
     round_stats: List[Tuple[int, int]] = []
     rounds = 0
     total_rounds = max_rounds if mode == "retranslate" else 1
     kept: Optional[ProofSummary] = None  # the last round end, when a round followed it
+    kept_units = 0  # its bound in units of 1/state.scale
 
     while True:
         rounds += 1
         if rounds > 1:
-            for cl, _ in sorted(state.residues.items()):
+            for cl in sorted(state.residue_units):
                 if cl.k in (2, 3):
-                    _, step = apply_rule(
-                        state, f"xlate{cl.k}", (cl,), state.residues[cl], alloc
-                    )
+                    weight = Fraction(state.residue_units[cl], state.scale)
+                    _, step = apply_rule(state, f"xlate{cl.k}", (cl,), weight, alloc)
                     steps.append(step)
-        budget = len(state.entries)
+        budget = len(state.entry_units)
         used = 0
         quota = COMPACT_TRIANGLE_QUOTA
         while True:
@@ -776,7 +810,8 @@ def saturate(
                 break
             used += _contract_cycle(state, cycle, mode == "compact", alloc, steps)
         round_stats.append((budget, used))
-        if kept is not None and state.floor - state.offset_total <= kept.bound_m:
+        bound_units = state.floor_units - state.offset_units
+        if kept is not None and bound_units <= kept_units:
             return replace(kept, round_stats=tuple(round_stats)), steps[: kept.steps]
         summary = _summarize(
             state, alloc.next_id - 1, rounds, len(steps), tuple(round_stats), provenance
@@ -784,10 +819,10 @@ def saturate(
         if (
             mode != "retranslate"
             or rounds >= total_rounds
-            or not any(cl.k in (2, 3) for cl in state.residues)
+            or not any(cl.k in (2, 3) for cl in state.residue_units)
         ):
             return summary, steps
-        kept = summary
+        kept, kept_units = summary, bound_units
 
 
 # ---------------------------------------------------------------------------
@@ -919,18 +954,19 @@ def check_proof(
                 raise PatternError(
                     f"step is not the canonical {step.rule} instance of its premises"
                 )
-            # keyed on the canonical instance, whose rationals are Fractions
-            # even when a hand-built step that equals it holds ints
+            # from here on the canonical instance, whose rationals are
+            # Fractions even when a hand-built step that equals it holds
+            # ints or floats
             shape = _step_shape(expected)
             if shape in _ACCEPTED_SHAPES:
                 stats["shape_hits"] += 1
             else:
                 stats["truth_tables"] += 1
-                table_reason = _truth_table_reason(step)
+                table_reason = _truth_table_reason(expected)
                 if table_reason is not None:
                     raise PatternError(f"truth table: {table_reason}")
                 _ACCEPTED_SHAPES.add(shape)
-            _replay_step(state, step)
+            _replay_step(state, expected)
         except Max2XorError as exc:
             return CheckVerdict(
                 accepted=False, failing_step=index, reason=str(exc), stats=stats

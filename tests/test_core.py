@@ -9,6 +9,7 @@ from max2xor.core import (
     EMPTY_CLAUSE,
     TAUTOLOGY,
     ZERO,
+    ArityError,
     IncompleteAssignmentError,
     InvalidClauseError,
     InvalidWeightError,
@@ -312,3 +313,36 @@ def test_rational_round_trip():
     assert format_rational(F(4)) == "4/1"
     assert parse_rational("17/2") == F(17, 2)
     assert parse_rational("-3/4") == F(-3, 4)
+
+
+# Every invalid shape with its exact exception class and message; valid
+# shapes take an arity-specific fast path, so these pin the slow path's texts.
+INVALID_SHAPES = [
+    (XorConstraint, ((2, 1), 0), InvalidClauseError, "variables must be sorted and distinct: (2, 1)"),
+    (XorConstraint, ((1, 1), 0), InvalidClauseError, "variables must be sorted and distinct: (1, 1)"),
+    (XorConstraint, ((0,), 0), InvalidClauseError, "variable ids must be positive: (0,)"),
+    (XorConstraint, ((-1, 2), 0), InvalidClauseError, "variable ids must be positive: (-1, 2)"),
+    (XorConstraint, ((1, 2, 3), 0), ArityError,
+     "at most 2 variables per parity constraint, got (1, 2, 3)"),
+    (XorConstraint, ((1, 2), 2), InvalidClauseError, "parity must be 0 or 1, got 2"),
+    (XorConstraint, ((), 2), InvalidClauseError, "parity must be 0 or 1, got 2"),
+    (OrClause, ((1, 0),), InvalidClauseError, "literal 0 is not allowed"),
+    (OrClause, ((0,),), InvalidClauseError, "literal 0 is not allowed"),
+    (OrClause, ((2, 2),), InvalidClauseError,
+     "duplicate or complementary literals on variable 2: (2, 2)"),
+    (OrClause, ((1, -1, 3),), InvalidClauseError,
+     "duplicate or complementary literals on variable 1: (1, -1, 3)"),
+    (OrClause, ((3, 1),), InvalidClauseError, "literals must be sorted by variable id: (3, 1)"),
+    (OrClause, ((-2, 1),), InvalidClauseError, "literals must be sorted by variable id: (-2, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,args,error,message", INVALID_SHAPES, ids=[f"{k.__name__}{a}" for k, a, _, _ in INVALID_SHAPES]
+)
+def test_invalid_shapes_keep_their_class_and_message(kind, args, error, message):
+    with pytest.raises(error) as caught:
+        kind(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+

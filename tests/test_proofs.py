@@ -13,6 +13,7 @@ from max2xor.core import (
     EMPTY_CLAUSE,
     TAUTOLOGY,
     Max2XorError,
+    X2XProblem,
     XorConstraint,
     clause,
     format_rational,
@@ -45,7 +46,7 @@ from max2xor.proofs import (
     make_state,
     saturate,
 )
-from max2xor.textio import emit_proof, parse_cnf
+from max2xor.textio import emit_proof, parse_cnf, parse_proof
 
 F = Fraction
 H = Fraction(1, 2)
@@ -186,6 +187,50 @@ def test_apply_rule_pattern_errors():
         apply_rule(state, "chain01", (xor([1, 2], 0), xor([1, 2], 0)), F(1))  # parities
     with pytest.raises(PatternError):
         apply_rule(state, "compact00", (xor([1, 2], 0), xor([3, 4], 0)), F(1))  # no allocator
+
+
+# weights 1/2 and 2/3: a message must quote these rationals, never the
+# integers a state may keep them as
+def _halves_and_thirds():
+    return make_state(
+        [(xor([1, 2], 0), H), (xor([1, 3], 0), F(2, 3)), (xor([1, 2], 1), F(2, 3)), (xor([4], 1), H)]
+    )
+
+
+PROTOCOL_ERRORS = [
+    ("contra", (xor([1, 2], 0), xor([1, 2], 1)), F(2, 3), RuleApplicationError,
+     "applied weight 2/3 must equal the lightest premise weight 1/2 "
+     "(one premise is consumed entirely)"),
+    ("contra", (xor([1, 2], 0), xor([1, 2], 1)), F(1, 3), RuleApplicationError,
+     "applied weight 1/3 must equal the lightest premise weight 1/2 "
+     "(one premise is consumed entirely)"),
+    ("contra", (xor([1, 2], 0), xor([1, 2], 1)), F(1, 5), RuleApplicationError,
+     "applied weight 1/5 must equal the lightest premise weight 1/2 "
+     "(one premise is consumed entirely)"),
+    ("chain01", (xor([1, 3], 0), xor([1, 2], 1)), H, RuleApplicationError,
+     "applied weight 1/2 must equal the lightest premise weight 2/3 "
+     "(one premise is consumed entirely)"),
+    ("chain00", (xor([1, 2], 0), xor([1, 5], 0)), H, RuleApplicationError,
+     "chain00 premise XorConstraint(vars=(1, 5), parity=0) not present"),
+    ("xlate2", (clause(1, 2),), H, RuleApplicationError,
+     "xlate2 premise OrClause(lits=(1, 2)) not present"),
+    ("compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, PatternError, "variable 4 is not fresh"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule,premises,weight,error,message", PROTOCOL_ERRORS, ids=[str(i) for i in range(len(PROTOCOL_ERRORS))]
+)
+def test_protocol_error_messages_quote_rationals(rule, premises, weight, error, message):
+    with pytest.raises(error) as caught:
+        apply_rule(_halves_and_thirds(), rule, premises, weight, VarAllocator(4))
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    # the checker reports the same text at the step's index
+    step = build_step(rule, premises, weight, 4 if rule == "compact00" else None)
+    items = list(_halves_and_thirds().entries.items())
+    verdict = check_proof(items, [step])
+    assert (verdict.accepted, verdict.failing_step, verdict.reason) == (False, 0, message)
 
 
 @pytest.mark.parametrize(
@@ -1071,3 +1116,84 @@ def test_bound_to_original_provenance_check():
     summary, _ = saturate(other.problem)
     with pytest.raises(ProvenanceError):
         bound_to_original(summary, report)
+
+
+# ---------------------------------------------------------------------------
+# Exact weights on any denominator
+
+
+def test_checker_replays_the_canonical_step():
+    items = [(xor([1, 2], 0), H), (xor([1, 2], 1), F(2, 3))]
+    step = replace(build_step("contra", (xor([1, 2], 0), xor([1, 2], 1)), H), weight=0.5)
+    verdict = check_proof(items, [step])
+    assert verdict.accepted
+    assert type(verdict.summary.bound_m) is Fraction and verdict.summary.bound_m == H
+    assert verdict.summary.residual.entries == {xor([1, 2], 1): F(1, 6)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_problems_with_float_or_int_weights_give_fraction_summaries(mode):
+    problem = X2XProblem(
+        {xor([1], 0): 0.5, xor([1, 2], 1): 1, xor([2], 0): 0.25, xor([2, 3], 0): 3}, var_count=3
+    )
+    summary, steps = saturate(problem, mode=mode)
+    verdict = check_proof(problem, steps, summary)
+    assert verdict.accepted, verdict.reason
+    for result in (summary, verdict.summary):
+        assert result.bound_m == F(1, 4)
+        numbers = [result.bound_m, result.floor_total, result.offset_total, result.residual.floor]
+        numbers += list(result.residual.entries.values()) + [w for _, w in result.residue_clauses]
+        assert all(type(w) is Fraction for w in numbers), numbers
+
+
+def _thirds_and_sevenths(rng):
+    """Raw items whose weights have denominators 3, 5, 6, 7 and 9, with a floor."""
+    n = rng.randint(3, 6)
+    items = [(EMPTY_CLAUSE, F(rng.randint(1, 4), rng.choice([3, 7])))]
+    for _ in range(rng.randint(4, 11)):
+        vars_ = rng.sample(range(1, n + 1), rng.choice([1, 2, 2, 2]))
+        items.append((xor(vars_, rng.randint(0, 1)), F(rng.randint(1, 9), rng.choice([3, 5, 6, 7, 9]))))
+    return items
+
+
+# p x2x 4 with weights over 3, 5 and 7; retranslation keeps a second round
+THIRDS = [
+    (xor([1], 1), F(1, 5)),
+    (xor([1, 2], 0), F(4, 3)),
+    (xor([1, 4], 1), F(4, 3)),
+    (xor([2, 3], 1), F(1)),
+    (xor([2, 4], 0), F(4, 7)),
+    (xor([3], 0), F(4, 7)),
+    (xor([4], 1), F(4, 3)),
+]
+
+
+def test_exact_bounds_on_denominators_that_are_not_powers_of_two():
+    rng = random.Random(20261019)
+    cases = [THIRDS] + [_thirds_and_sevenths(rng) for _ in range(40)]
+    for trial, items in enumerate(cases):
+        cost_in = brute_opt_cost_items(items).cost
+        for mode in MODES:
+            summary, steps = saturate(items, mode=mode)
+            assert summary.bound_m + _leftover_cost(summary) == cost_in, (trial, mode)
+            verdict = check_proof(items, steps, summary)
+            assert verdict.accepted, (trial, mode, verdict.reason)
+            assert verdict.summary == replace(summary, round_stats=()), (trial, mode)
+            assert parse_proof(emit_proof(steps)) == steps, (trial, mode)
+    bounds = {mode: saturate(THIRDS, mode=mode) for mode in MODES}
+    assert {mode: (s.bound_m, len(steps)) for mode, (s, steps) in bounds.items()} == {
+        "discard": (F(27, 35), 4),
+        "retranslate": (F(4, 3), 20),
+        "compact": (F(27, 35), 6),
+    }
+    assert bounds["retranslate"][0].rounds == 2
+
+
+def test_replay_raises_on_a_product_off_the_state_grid():
+    # a residue of one unit at scale 2 cannot be halved by a retranslation:
+    # the state must refuse, not round
+    state = make_state([(xor([1, 2], 0), H)])
+    cl = clause(1, 2)
+    state.residue_units[cl] = 1
+    with pytest.raises(RuleApplicationError, match="^1/4 is not a whole multiple of 1/2$"):
+        apply_rule(state, "xlate2", (cl,), H)
