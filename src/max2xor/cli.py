@@ -188,36 +188,33 @@ def _cmd_oracle(args, out) -> int:
 def _verify_family(args):
     """Source clause, translation and claimed parameters of a family.
 
-    The enumeration guard sees ``k`` plus the family's auxiliaries before any
-    clause, shape or translation is built.
+    The enumeration guard sees ``k`` plus the claimed auxiliaries before any
+    clause, shape or translation is built; a claim that leaves the count out
+    is guarded by :func:`verify_gadget` once the translation exists.
     """
-    k = args.k
-    if args.family == "binary":
-        if k not in (1, 2):
-            raise Max2XorError("--family binary needs --k 1 or 2")
-        cl = clause(*range(1, k + 1))
-        return cl, binary_gadget(Fraction(1), cl), clause_params(k)
-    if args.family == "trevisan":
-        if k != 3:
-            raise Max2XorError("--family trevisan needs --k 3")
-        cl = clause(1, 2, 3)
-        return cl, trevisan_3to2(cl, VarAllocator(4)), GadgetParams(Fraction(7, 2), Fraction(4), 1)
-    if args.family == "chain":
-        if k < 4:
-            raise Max2XorError("--family chain needs --k >= 4")
-        _guard(2 * k - 3, _oracle_guard())
-        cl = clause(*range(1, k + 1))
-        return cl, chain_to_3sat(cl, VarAllocator(k + 1)), GadgetParams(
-            Fraction(k - 2), Fraction(k - 2), k - 3
-        )
-    if k < 2:
-        raise Max2XorError(f"--family {args.family} needs --k >= 2")
-    _guard(2 * k - 2, _oracle_guard())
-    cl = clause(*range(1, k + 1))
-    if args.family == "t0":
-        return cl, sequential_gadget(cl, None, VarAllocator(k + 1)), clause_params(k)
-    shape = _resolve_shape(args, k)
-    return cl, tree_gadget(cl, shape, None, VarAllocator(k + 1)), clause_params(k)
+    k, family = args.k, args.family
+    need, fits = {
+        "binary": ("1 or 2", k in (1, 2)), "trevisan": ("3", k == 3), "chain": (">= 4", k >= 4)
+    }.get(family, (">= 2", k >= 2))
+    if not fits:
+        raise Max2XorError(f"--family {family} needs --k {need}")
+    claimed = {
+        "trevisan": GadgetParams(Fraction(7, 2), Fraction(4), 1),
+        "chain": GadgetParams(Fraction(k - 2), Fraction(k - 2), k - 3),
+    }.get(family) or clause_params(k)
+    _guard(k + (claimed.aux_vars or 0), _oracle_guard())
+    cl, alloc = clause(*range(1, k + 1)), VarAllocator(k + 1)
+    if family == "binary":
+        translation = binary_gadget(Fraction(1), cl)
+    elif family == "trevisan":
+        translation = trevisan_3to2(cl, alloc)
+    elif family == "chain":
+        translation = chain_to_3sat(cl, alloc)
+    elif family == "t0":
+        translation = sequential_gadget(cl, None, alloc)
+    else:
+        translation = tree_gadget(cl, _resolve_shape(args, k), None, alloc)
+    return cl, translation, claimed
 
 
 def _resolve_shape(args, k: int) -> TreeShape:

@@ -268,42 +268,6 @@ def evaluate(problem: X2XProblem, assignment: Assignment) -> EvalResult:
     return EvalResult(satisfied, unsatisfied)
 
 
-def substitute_constant(problem: X2XProblem, var: int, value: int) -> X2XProblem:
-    """Fix ``var`` to a constant bit and renormalize.
-
-    Every constraint containing the variable drops it and folds the value
-    into its parity; unsatisfied weight is preserved for all assignments
-    that agree with the substitution.
-    """
-    value &= 1
-    raw = []
-    for constraint, weight in problem.entries.items():
-        if var in constraint.vars:
-            rest = tuple(v for v in constraint.vars if v != var)
-            raw.append((XorConstraint(rest, constraint.parity ^ value), weight))
-        else:
-            raw.append((constraint, weight))
-    return normalize(raw, var_count=problem.var_count, floor=problem.floor)
-
-
-def flip_variable(problem: X2XProblem, var: int) -> X2XProblem:
-    """Replace a variable by its negation: constraints containing it toggle parity.
-
-    An involution; no merging can occur because the affected keys map onto
-    each other bijectively.
-    """
-    entries: Dict[XorConstraint, Fraction] = {}
-    for constraint, weight in problem.entries.items():
-        if var in constraint.vars:
-            constraint = XorConstraint(constraint.vars, constraint.parity ^ 1)
-        entries[constraint] = weight
-    return X2XProblem(
-        entries=dict(sorted(entries.items())),
-        floor=problem.floor,
-        var_count=problem.var_count,
-    )
-
-
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as ``num/den``, always with an explicit denominator."""
     if type(value) is not Fraction:

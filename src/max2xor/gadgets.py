@@ -405,17 +405,6 @@ def tree_gadget(
     return out
 
 
-def substitute_anchor(items: XorItems, anchor: int) -> XorItems:
-    """Fix a translation's anchor variable to the constant one."""
-    out: XorItems = []
-    for constraint, weight in items:
-        if anchor in constraint.vars:
-            rest = tuple(v for v in constraint.vars if v != anchor)
-            constraint = XorConstraint(rest, constraint.parity ^ 1)
-        out.append((constraint, weight))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Whole-instance compilation
 
@@ -457,10 +446,13 @@ def compile_maxsat(
     Unit and binary clauses always use the direct translation (shift 0 and
     w/2).  Wider clauses use the sequential or tree translation with the
     anchor substituted by the constant one (shift w*(k-1)/2).  Empty clauses
-    credit their weight straight to the floor.
+    credit their weight straight to the floor.  ``shapes`` maps clause
+    indices to tree shapes and is only read by the tree strategy.
     """
     if strategy not in STRATEGIES:
         raise Max2XorError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    if shapes and strategy != "tree":
+        raise Max2XorError(f"shapes need the tree strategy, not {strategy!r}")
     shapes = shapes or {}
     alloc = VarAllocator(instance.var_count + 1)
     raw: XorItems = []
@@ -470,9 +462,9 @@ def compile_maxsat(
     params: Dict[int, GadgetParams] = {}
 
     for index, (cl, weight) in enumerate(instance.clauses):
-        k = cl.k
+        weight, k = check_weight(weight), cl.k
         if k == 0:
-            floor += check_weight(weight)
+            floor += weight
             continue
         if k <= 2:
             raw.extend(binary_gadget(weight, cl))
@@ -486,8 +478,8 @@ def compile_maxsat(
             raw.extend((constraint, weight * w) for constraint, w in items)
             for fresh in range(first_fresh, alloc.next_id):
                 aux_map[fresh] = index
-        shift += weight * Fraction(k - 1, 2) if k >= 2 else ZERO
         params.setdefault(k, clause_params(k))
+        shift += weight * params[k].gap
 
     problem = normalize(raw, var_count=alloc.next_id - 1, floor=floor)
     return CompileReport(

@@ -209,8 +209,6 @@ RULES: Dict[str, Rule] = {
     }.items()
 }
 
-KNOWN_RULES = frozenset(RULES)
-
 # Retranslation rules: their one premise is a residue clause, not a parity constraint.
 CLAUSE_PREMISE_RULES = tuple(rule for rule, spec in RULES.items() if spec.form == "clause")
 
@@ -425,13 +423,13 @@ class _CycleIndex:
 
     ``cover`` is the double cover's adjacency with every neighbour list kept
     sorted, so the search scans neighbours in ascending (variable, parity)
-    order.  ``parities`` records which parities each nonempty variable set
-    carries (bit p for parity p) and ``opposite`` the sets with both.
+    order.  It is the one record of which constraints exist: the set on
+    (u, v) at parity p is present exactly when ``2v + p`` is on the list of
+    ``2u``.  ``opposite`` holds the nonempty variable sets at both parities.
     """
 
     def __init__(self, entries: Iterable[XorConstraint]):
         self.cover: Cover = {}
-        self.parities: Dict[Tuple[int, ...], int] = {}
         self.opposite: Set[Tuple[int, ...]] = set()
         for constraint in entries:
             self.add(constraint)
@@ -439,21 +437,18 @@ class _CycleIndex:
     def add(self, constraint: XorConstraint) -> None:
         if not constraint.vars:
             return
-        mask = self.parities.get(constraint.vars, 0) | (1 << constraint.parity)
-        self.parities[constraint.vars] = mask
-        if mask == 3:
+        edges = _cover_edges(constraint)
+        key, twin = edges[0][0], edges[0][1] ^ 1  # the edge of the other parity
+        nbrs = self.cover.get(key, [])
+        i = bisect_left(nbrs, twin)
+        if i < len(nbrs) and nbrs[i] == twin:
             self.opposite.add(constraint.vars)
-        for key, nbr in _cover_edges(constraint):
+        for key, nbr in edges:
             insort(self.cover.setdefault(key, []), nbr)
 
     def discard(self, constraint: XorConstraint) -> None:
         if not constraint.vars:
             return
-        mask = self.parities[constraint.vars] & ~(1 << constraint.parity)
-        if mask:
-            self.parities[constraint.vars] = mask
-        else:
-            del self.parities[constraint.vars]
         self.opposite.discard(constraint.vars)
         for key, nbr in _cover_edges(constraint):
             nbrs = self.cover[key]
@@ -541,30 +536,32 @@ def _edge_constraint(u: int, v: int, parity: int) -> XorConstraint:
     return XorConstraint(tuple(sorted((u, v))), parity)
 
 
-def _parity_balanced_triangle(cover: Cover) -> Optional[List[XorConstraint]]:
-    """Smallest pure-variable triangle whose parities XOR to zero.
+def _triangle(
+    cover: Cover, sources: Iterable[int], parity: int
+) -> Optional[List[Tuple[int, int, int]]]:
+    """First three-edge walk of the given parity that closes at a source, as
+    (u, v, parity) edges ending at the source, or None.
 
-    Under compact chaining the conclusion parity flips, so these are the
-    three-cycles that still close with a contradiction step.  Expects no
-    opposite-parity pair, so each neighbour appears once.
+    For each source s in ascending order, it reads only the keys k on the
+    list of ``2s`` whose vertex is above s, and returns the first walk
+    ``2s, k, j`` whose end's ``j ^ parity`` is one of those keys.  That is
+    exact: the least vertex of a triangle is the first source that can see
+    it, and the triangle's other two vertices lie above that vertex.  So the
+    winning source and its first hit in neighbour order are those of a scan
+    over every neighbour, which for parity 1 is the walk that
+    :func:`_bfs_odd_walk` builds.  A triangle read the other way round is a
+    hit too, at its other far vertex, so the first hit has ``u < v``.
+    Expects no opposite-parity pair, so each vertex is on a list once.
     """
-    for key in sorted(cover):
-        u = key >> 1
-        if key & 1 or u == CONSTANT_NODE:
-            continue
-        at_u = {nbr >> 1: nbr & 1 for nbr in cover[key]}
-        for nbr in cover[key]:
-            v, p1 = nbr >> 1, nbr & 1
-            if v <= u:
-                continue
-            for far in cover[2 * v]:
-                w, p2 = far >> 1, far & 1
-                if w > v and w in at_u and p1 ^ p2 ^ at_u[w] == 0:
-                    return [
-                        XorConstraint((u, v), p1),
-                        XorConstraint((v, w), p2),
-                        XorConstraint((u, w), at_u[w]),
-                    ]
+    for s in sources:
+        nbrs = cover[2 * s]
+        above = nbrs[bisect_left(nbrs, 2 * s + 2):]
+        ends = {key ^ parity for key in above}
+        for key in above:
+            for far in cover[key]:
+                if far in ends:
+                    u, v = key >> 1, far >> 1
+                    return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ parity)]
     return None
 
 
@@ -572,22 +569,15 @@ def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[
     """The walk of the least source among those with the shortest odd closed
     walk, as :func:`_bfs_odd_walk` builds it, or None.
 
-    Expects no opposite-parity pair, so no walk is shorter than three edges.
-    A three-edge walk ``2s, k, j, 2s + 1`` is a neighbour k of ``2s`` with a
-    neighbour j whose twin ``j ^ 1`` is also a neighbour of ``2s``; the first
-    such (k, j) in neighbour order is the walk that the search from s builds.
-    Failing that, each length search only has to beat the best so far, and
-    the scan ends at the first four-edge walk.  A search without a limit
-    that finds no walk clears its whole component: no source there has one.
+    Expects no opposite-parity pair, so no walk is shorter than the three
+    edges that :func:`_triangle` finds.  Failing that, each length search
+    only has to beat the best so far, and the scan ends at the first
+    four-edge walk.  A search without a limit that finds no walk clears its
+    whole component: no source there has one.
     """
-    for s in sources:
-        nbrs = cover[2 * s]
-        twins = {key ^ 1 for key in nbrs}
-        for key in nbrs:
-            for far in cover[key]:
-                if far in twins:
-                    u, v = key >> 1, far >> 1
-                    return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ 1)]
+    triangle = _triangle(cover, sources, 1)
+    if triangle is not None:
+        return triangle
     best = winner = None
     bipartite: Set[int] = set()  # sources in components without an odd cycle
     for s in sources:
@@ -610,12 +600,11 @@ def _next_cycle(
     """Next contractible cycle and its kind, in every saturation mode.
 
     First the opposite-parity pair with the least variable set (``pair``).
-    Then the shortest odd cycle (``odd``), from a triangle pass and
-    half-depth length searches that pick the winning source before its walk
-    is built; in compact mode the constant node's walk (``unit-chain``),
-    since unit-rule chains do not flip parities.  Then, in compact mode
-    while ``triangle_quota`` lasts, the least parity-balanced triangle
-    (``triangle``), which exercises the compact chain rules.
+    Then the shortest odd cycle (``odd``, see :func:`_shortest_odd_walk`);
+    in compact mode the constant node's walk (``unit-chain``), since
+    unit-rule chains do not flip parities.  Then, in compact mode while
+    ``triangle_quota`` lasts, the least parity-balanced triangle off the
+    constant node (``triangle``), which exercises the compact chain rules.
     """
     if index.opposite:
         vars_ = min(index.opposite)
@@ -630,9 +619,10 @@ def _next_cycle(
         if len(set(cycle)) == len(cycle):  # globally shortest odd walks are simple
             return cycle, "unit-chain" if compact else "odd"
     if compact and triangle_quota > 0:
-        triangle = _parity_balanced_triangle(cover)
+        sources = [key >> 1 for key in sorted(cover) if not key & 1 and key >> 1 != CONSTANT_NODE]
+        triangle = _triangle(cover, sources, 0)
         if triangle is not None:
-            return triangle, "triangle"
+            return [_edge_constraint(u, v, p) for u, v, p in triangle], "triangle"
     return None
 
 
@@ -644,14 +634,10 @@ def find_odd_cycle(
     Two-variable constraints are edges, unit constraints are edges to a
     virtual constant node; an opposite-parity pair is a two-cycle and comes
     first.  Otherwise the cycle is the walk of the least node (the constant
-    node first) among those with the shortest odd closed walk.  A triangle
-    pass finds the least node with a three-edge walk on the neighbour lists;
-    failing that, length searches that stop at half depth (flipping every
-    parity maps the double cover onto itself) pick the node, and one
-    breadth-first search builds its walk.  So the walk starts at the
+    node first) among those with the shortest odd closed walk, as a
+    breadth-first search from it builds it.  So the walk starts at the
     constant node whenever the cycle passes through it, and the cycle's
-    constraint order is directly contractible.  The compact-mode search for
-    unit chains is the walk from the constant node alone.
+    constraint order is directly contractible.
     """
     entries = source.entries if isinstance(source, X2XProblem) else source
     found = _next_cycle(_CycleIndex(entries))

@@ -256,6 +256,20 @@ def test_compile_tree_strategy_with_shapes_file(tmp_path):
     assert len(problem.entries) == 12  # 3(k-1)
 
 
+def test_shapes_without_the_tree_strategy_are_an_error(tmp_path, capsys):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 4 1\n1 -2 3 4 0\n")
+    shapes = tmp_path / "shapes.txt"
+    shapes.write_text("((1 2) 3)\n")  # three leaves for a width-4 clause
+    for command in ("compile", "bound"):
+        code, output = invoke(command, str(cnf), "--shapes", str(shapes))
+        assert (code, output) == (EXIT_ERROR, ""), command
+        assert capsys.readouterr().err == (
+            "error: shapes need the tree strategy, not 'sequential'\n"
+        ), command
+    assert not (tmp_path / "wide.x2x").exists() and not (tmp_path / "wide.x2xproof").exists()
+
+
 def test_shape_files_skip_comments_and_blank_lines(tmp_path):
     # shape i is the i-th line that is neither blank nor a comment
     shapes = tmp_path / "comb.txt"

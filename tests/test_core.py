@@ -1,4 +1,4 @@
-"""Data model: construction, evaluation, normalization, rewriting."""
+"""Data model: construction, evaluation, normalization, rational tokens."""
 
 import random
 from fractions import Fraction
@@ -19,11 +19,9 @@ from max2xor.core import (
     check_weight,
     clause,
     evaluate,
-    flip_variable,
     format_rational,
     normalize,
     parse_rational,
-    substitute_constant,
     xor,
 )
 
@@ -257,55 +255,6 @@ def test_evaluate_totals():
         assignment = {v: rng.randint(0, 1) for v in range(1, nvars + 1)}
         sat, unsat = evaluate(problem, assignment)
         assert sat + unsat == problem.weight() + problem.floor
-
-
-def test_substitute_constant_examples():
-    problem = normalize([(xor([1, 2], 0), H)])  # b=1, x=2
-    assert substitute_constant(problem, 1, 1).entries == {xor([2], 1): H}
-
-    problem = normalize([(xor([1], 1), H)])
-    fixed = substitute_constant(problem, 1, 1)
-    assert fixed.entries == {} and fixed.floor == F(0)
-
-    problem = normalize([(xor([1], 0), H)])
-    fixed = substitute_constant(problem, 1, 1)
-    assert fixed.entries == {} and fixed.floor == H
-
-
-def test_substitute_constant_preserves_cost_on_extensions():
-    rng = random.Random(13)
-    for _ in range(50):
-        nvars = rng.randint(2, 5)
-        problem = normalize(_random_raw(rng, nvars, 10))
-        var, value = rng.randint(1, nvars), rng.randint(0, 1)
-        fixed = substitute_constant(problem, var, value)
-        for index in range(1 << nvars):
-            assignment = {v: (index >> (v - 1)) & 1 for v in range(1, nvars + 1)}
-            if assignment[var] != value:
-                continue
-            assert evaluate(fixed, assignment).unsatisfied == \
-                evaluate(problem, assignment).unsatisfied
-
-
-def test_flip_variable_examples_and_involution():
-    problem = normalize([(xor([1], 0), F(1))])
-    assert flip_variable(problem, 1).entries == {xor([1], 1): F(1)}
-
-    problem = normalize([(xor([1, 2], 1), F(1)), (xor([2], 0), F(1))])
-    flipped = flip_variable(problem, 2)
-    assert flipped.entries == {xor([1, 2], 0): F(1), xor([2], 1): F(1)}
-    assert flip_variable(flipped, 2) == problem
-
-
-def test_flip_commutes_with_assignment_flip():
-    rng = random.Random(17)
-    problem = normalize(_random_raw(rng, 4, 8))
-    flipped = flip_variable(problem, 2)
-    for index in range(16):
-        assignment = {v: (index >> (v - 1)) & 1 for v in range(1, 5)}
-        mirrored = dict(assignment)
-        mirrored[2] ^= 1
-        assert evaluate(problem, assignment) == evaluate(flipped, mirrored)
 
 
 def test_rational_round_trip():

@@ -27,7 +27,6 @@ from max2xor.gadgets import (
     compose_params,
     expand_full_parity,
     sequential_gadget,
-    substitute_anchor,
     to_maxcut,
     tree_gadget,
     trevisan_3to2,
@@ -224,10 +223,6 @@ def test_sequential_negative_literals_fold():
     items = dict(sequential_gadget(cl, 3, VarAllocator(4)))
     assert items[xor([1, 2], 0)] == H  # 1 ^ neg1
     assert items[xor([1, 3], 1)] == H
-    verdict = verify_gadget(
-        cl, list(substitute_anchor(list(items.items()), 3)), GadgetParams(F(1), F(3, 2), 0)
-    )
-    assert verdict.certified, verdict.reason
 
 
 def test_left_comb_equals_sequential():
@@ -446,6 +441,15 @@ def test_compile_tree_strategy_with_shape_map():
     assert len(report.problem.entries) == 9
     assert set(report.problem.entries.values()) == {F(1)}  # w/2 with w=2
     assert set(report.aux_map) == {5, 6}
+
+
+def test_compile_shapes_need_the_tree_strategy():
+    # the sequential translation reads no shape, so a shape map is an error
+    # there, not silently dropped; an empty map is no shape at all
+    instance = WcnfInstance(4, [(clause(1, 2, 3, 4), F(2))])
+    with pytest.raises(Max2XorError, match="shapes need the tree strategy, not 'sequential'"):
+        compile_maxsat(instance, shapes={0: TreeShape.parse("((1 2) 3)")})
+    assert compile_maxsat(instance, shapes={}) == compile_maxsat(instance)
 
 
 def test_compile_full_strategy_is_unknown():

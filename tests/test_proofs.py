@@ -38,6 +38,7 @@ from max2xor.proofs import (
     _next_cycle,
     _odd_walk_length,
     _replay_step,
+    _triangle,
     apply_rule,
     bound_to_original,
     build_step,
@@ -565,6 +566,81 @@ def test_compact_finder_matches_full_search():
     assert kinds == {None, "pair", "unit-chain", "triangle"}
 
 
+def test_triangle_reads_no_list_below_its_source():
+    # each source reads its own list and the lists of vertices above it;
+    # with odd parity and no opposite pair its walk is the first three-edge
+    # walk of a breadth-first search over every source
+    scanning, reads = [], []  # sources in scan order; (source, key) per list read
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            reads.append((scanning[-1], key))
+            return dict.__getitem__(self, key)
+
+    def tracked(sources):
+        for s in sources:
+            scanning.append(s)
+            yield s
+
+    skipped = hits = 0
+    for entries in _random_entry_sets(303, 300):
+        cover = _CycleIndex(entries).cover
+        sources = [key >> 1 for key in sorted(cover) if not key & 1]
+        for parity in (0, 1):
+            scanning.clear()
+            reads.clear()
+            walk = _triangle(Reads(cover), tracked(sources), parity)
+            assert all(key >> 1 >= s for s, key in reads), (sorted(entries), parity)
+            skipped += sum(key >> 1 < s for s in scanning for key in cover[2 * s])
+            if walk is not None:
+                hits += 1
+                assert walk[0][0] == scanning[-1]
+                assert [(u, v) for u, v, _ in walk] == [
+                    (walk[0][0], walk[1][0]), (walk[1][0], walk[2][0]), (walk[2][0], walk[0][0])
+                ]
+                assert sum(p for _, _, p in walk) % 2 == parity
+            if parity and not _reference_opposite_pair(entries):
+                adj = _reference_adjacency(entries)
+                three = (_reference_bfs_odd_walk(adj, s) for s in sorted(adj))
+                expected = next((w for w in three if w is not None and len(w) == 3), None)
+                assert walk == expected, sorted(entries)
+    assert skipped > 1000 and hits > 100
+
+
+def test_cycle_index_tracks_opposite_pairs_through_any_sequence():
+    # add both parities, discard one, add it again: sequences the engine
+    # never makes, since it cancels a pair as soon as one appears
+    rng = random.Random(14)
+    paired = 0
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        index, present = _CycleIndex([]), {}
+        for _ in range(40):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, 2)))
+            constraint = xor(vs, rng.randint(0, 1))
+            if constraint in present:
+                del present[constraint]
+                index.discard(constraint)
+            else:
+                present[constraint] = F(1)
+                index.add(constraint)
+            expected = {c.vars for c in present if xor(c.vars, c.parity ^ 1) in present}
+            assert index.opposite == expected, sorted(present)
+            assert index.cover == _CycleIndex(present).cover
+            paired += bool(expected)
+    assert paired > 500
+
+
+def test_compact_triangle_avoids_the_constant_node():
+    entries = {xor([1], 0): F(1), xor([2], 0): F(1), xor([1, 2], 0): F(1)}
+    assert _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=1) is None
+    entries.update({xor([2, 3], 0): F(1), xor([1, 3], 0): F(1)})
+    assert _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=1) == (
+        [xor([1, 2], 0), xor([2, 3], 0), xor([1, 3], 0)],
+        "triangle",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Saturation
 
@@ -771,7 +847,6 @@ PROOF_LOG_DIGESTS = {
 def _assert_index_matches(state):
     rebuilt = _CycleIndex(state.entries)
     assert state.index.cover == rebuilt.cover
-    assert state.index.parities == rebuilt.parities
     assert state.index.opposite == rebuilt.opposite
 
 
@@ -1064,7 +1139,7 @@ def test_truth_table_matches_pure_fraction_enumeration():
                 reason = proofs._truth_table_reason(mutant)
                 assert reason is not None and reason == _reference_table_reason(mutant), mutant
                 reasons.add(reason.split(" ")[0])
-    assert rules == proofs.KNOWN_RULES and len(rules) == 13
+    assert rules == set(proofs.RULES) and len(rules) == 13
     assert reasons == {"unsatisfied", "fresh-variable"}
 
 
