@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import (
     ArityError,
@@ -100,53 +100,55 @@ class VarAllocator:
 # Tree shapes
 
 
-ShapeNode = Union[int, tuple]
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class TreeShape:
-    """Binary tree over clause positions 1..k, leaves in left-to-right order.
+    """Binary tree over clause positions 1..k, kept as its post-order walk.
 
-    The degenerate left comb reproduces the sequential translation; any other
-    shape groups literals in parallel.  Equality, hashing and ``repr`` walk
-    the tree without recursion, so deep shapes are safe.
+    ``postorder`` lists the leaves 1..k in order with a 0 for each internal
+    node after its two subtrees: ``((1 2) 3)`` is ``(1, 2, 0, 3, 0)``.  The
+    degenerate left comb reproduces the sequential translation; any other
+    shape groups literals in parallel.  The walk is flat, so equality,
+    hashing and ``repr`` never recurse, however deep the tree.
     """
 
-    root: ShapeNode
+    postorder: Tuple[int, ...]
 
     def __post_init__(self):
-        leaves = _leaves(self.root)
+        if type(self.postorder) is not tuple or any(type(n) is not int for n in self.postorder):
+            raise ShapeError(f"a shape's walk is a tuple of ints, got {self.postorder!r}")
+        leaves = [n for n in self.postorder if n != 0]
         if leaves != list(range(1, len(leaves) + 1)):
             raise ShapeError(f"leaves must be 1..k in order, got {leaves}")
         if len(leaves) < 2:
             raise ShapeError("a shape needs at least two leaves")
-
-    def _key(self) -> Tuple[int, ...]:
-        """Leaves in post-order with 0 for each internal node; fixes the tree."""
-        return tuple(n if isinstance(n, int) else 0 for n in _postorder(self.root))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeShape):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"TreeShape(root={_format_node(self.root, ', ')})"
+        subtrees = 0  # completed subtrees not yet joined under a parent
+        for n in self.postorder:
+            subtrees += 1 if n else -1
+            if subtrees < 1:  # a 0 with fewer than two subtrees to join
+                break
+        if subtrees != 1:
+            raise ShapeError(f"not the post-order walk of a binary tree: {self.postorder}")
 
     @property
     def k(self) -> int:
-        return len(_leaves(self.root))
+        return (len(self.postorder) + 1) // 2
 
     def format(self) -> str:
-        return _format_node(self.root)
+        parts: List[str] = []
+        for n in self.postorder:
+            if n:
+                parts.append(str(n))
+            else:
+                right = parts.pop()
+                parts[-1] = f"({parts[-1]} {right})"
+        return parts[0]
 
     @staticmethod
     def parse(text: str) -> "TreeShape":
         """Read ``(left right)`` nested pairs of leaf indices, without recursion."""
-        open_nodes: List[List[ShapeNode]] = []  # children read so far, per '('
+        walk: List[int] = []
+        leaves: List[int] = []
+        children: List[int] = []  # subtrees read so far, per open '('
         pos, end = 0, len(text)
         while True:
             while pos < end and text[pos].isspace():
@@ -154,7 +156,7 @@ class TreeShape:
             if pos == end:
                 raise ShapeError("unexpected end of shape")
             if text[pos] == "(":
-                open_nodes.append([])
+                children.append(0)
                 pos += 1
                 continue
             start = pos
@@ -164,54 +166,37 @@ class TreeShape:
                 raise ShapeError(f"expected leaf index in shape near {text[pos:pos + 10]!r}")
             if pos - start > len(str(end)):  # more digits than the text has leaves
                 raise ShapeError(f"leaf index {text[start:start + 10]}... exceeds the leaf count")
-            node: ShapeNode = int(text[start:pos])
-            while open_nodes:
-                open_nodes[-1].append(node)
-                if len(open_nodes[-1]) < 2:
+            leaves.append(int(text[start:pos]))
+            walk.append(leaves[-1])
+            while children:
+                children[-1] += 1
+                if children[-1] < 2:
                     break
                 while pos < end and text[pos].isspace():
                     pos += 1
                 if not text.startswith(")", pos):
                     raise ShapeError("expected ')' in shape")
                 pos += 1
-                node = tuple(open_nodes.pop())
+                children.pop()
+                walk.append(0)
             else:
                 if text[pos:].strip():
                     raise ShapeError(f"trailing input after shape: {text[pos:]!r}")
-                return TreeShape(node)
+                if 0 in leaves:  # a leaf 0 would read as an internal node
+                    raise ShapeError(f"leaves must be 1..k in order, got {leaves}")
+                return TreeShape(tuple(walk))
 
     @staticmethod
     def left_comb(k: int) -> "TreeShape":
-        if k < 2:
-            raise ShapeError("a shape needs at least two leaves")
-        node: ShapeNode = 1
-        for i in range(2, k + 1):
-            node = (node, i)
-        return TreeShape(node)
+        return _split_shape(k, lambda lo, hi: hi - 1)
 
     @staticmethod
     def balanced(k: int) -> "TreeShape":
-        def build(lo: int, hi: int) -> ShapeNode:
-            if lo == hi:
-                return lo
-            mid = (lo + hi) // 2
-            return (build(lo, mid), build(mid + 1, hi))
-
-        if k < 2:
-            raise ShapeError("a shape needs at least two leaves")
-        return TreeShape(build(1, k))
+        return _split_shape(k, lambda lo, hi: (lo + hi) // 2)
 
     @staticmethod
     def random(k: int, rng) -> "TreeShape":
-        def build(lo: int, hi: int) -> ShapeNode:
-            if lo == hi:
-                return lo
-            split = rng.randint(lo, hi - 1)
-            return (build(lo, split), build(split + 1, hi))
-
-        if k < 2:
-            raise ShapeError("a shape needs at least two leaves")
-        return TreeShape(build(1, k))
+        return _split_shape(k, lambda lo, hi: rng.randint(lo, hi - 1))
 
     @staticmethod
     def enumerate_all(k: int):
@@ -219,43 +204,35 @@ class TreeShape:
 
         def build(lo: int, hi: int):
             if lo == hi:
-                yield lo
+                yield (lo,)
                 return
             for split in range(lo, hi):
                 for left in build(lo, split):
                     for right in build(split + 1, hi):
-                        yield (left, right)
+                        yield left + right + (0,)
 
-        for root in build(1, k):
-            yield TreeShape(root)
-
-
-def _postorder(root: ShapeNode) -> List[ShapeNode]:
-    """Every node of a shape, children before parents and left before right."""
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not isinstance(node, int):
-            stack.extend(node)
-    order.reverse()
-    return order
+        for walk in build(1, k):
+            yield TreeShape(walk)
 
 
-def _leaves(node: ShapeNode) -> List[int]:
-    return [n for n in _postorder(node) if isinstance(n, int)]
+def _split_shape(k: int, at: Callable[[int, int], int]) -> TreeShape:
+    """The shape that splits each leaf range ``lo..hi`` after leaf ``at(lo, hi)``.
 
-
-def _format_node(node: ShapeNode, sep: str = " ") -> str:
-    parts: List[str] = []
-    for n in _postorder(node):
-        if isinstance(n, int):
-            parts.append(str(n))
+    ``at`` is called in pre-order, left subtree first, as a recursive builder
+    would call it, but the walk is built without recursion.
+    """
+    if k < 2:
+        raise ShapeError("a shape needs at least two leaves")
+    walk: List[int] = []
+    ranges = [(1, k)]
+    while ranges:
+        lo, hi = ranges.pop()
+        if lo == hi:  # a leaf, or (0, 0) closing an internal node
+            walk.append(lo)
         else:
-            right = parts.pop()
-            parts[-1] = f"({parts[-1]}{sep}{right})"
-    return parts[0]
+            split = at(lo, hi)
+            ranges += ((0, 0), (split + 1, hi), (lo, split))
+    return TreeShape(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +369,14 @@ def tree_gadget(
         raise ShapeError(f"shape has {shape.k} leaves but the clause has width {cl.k}")
     out: XorItems = []
     terms: List[Term] = []  # collector terms of the subtrees completed so far
-    nodes = _postorder(shape.root)
-    for node in nodes:
-        if isinstance(node, int):
-            terms.append(_literal_term(cl.lits[node - 1]))
+    root = len(shape.postorder) - 1
+    for i, n in enumerate(shape.postorder):
+        if n:
+            terms.append(_literal_term(cl.lits[n - 1]))
             continue
         right_term = terms.pop()
         left_term = terms.pop()
-        parent: Term = (anchor, 0) if node is nodes[-1] else (alloc.fresh(), 0)
+        parent: Term = (anchor, 0) if i == root else (alloc.fresh(), 0)
         _triangle(out, left_term, right_term, parent)
         terms.append(parent)
     return out

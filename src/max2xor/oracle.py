@@ -68,7 +68,6 @@ WeightedItem = Tuple[object, Fraction]  # (constraint, weight)
 class OracleResult:
     opt: Fraction
     cost: Fraction
-    opt_witness: Dict[int, int]
     cost_witness: Dict[int, int]
     # integer work counts: ``assignments`` enumerated, ``prefix`` bits, ``components``
     stats: Dict[str, int] = field(default_factory=dict, compare=False)
@@ -287,8 +286,7 @@ def brute_opt_cost_items(
     return OracleResult(
         opt=sum(weights, ZERO) - min_unsat,
         cost=floor + min_unsat,
-        opt_witness=dict(witness),
-        cost_witness=dict(witness),
+        cost_witness=witness,
         stats=dict(assignments=assignments, prefix=p, components=len(components)),
     )
 

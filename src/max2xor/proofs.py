@@ -29,7 +29,6 @@ from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
@@ -87,8 +86,7 @@ class ProofState:
     Weights are integers in units of ``1/scale``, the lcm of the input's
     weight denominators.  Rules fire at present weights, and the ``xlate``
     rules halve residues, which enter at twice a present weight, so updates
-    stay whole; one that does not raises, never rounds.  ``entries``,
-    ``residues``, ``floor`` and ``offset_total`` read the state as Fractions.
+    stay whole; one that does not raises, never rounds.
     """
 
     scale: int = 1
@@ -98,16 +96,6 @@ class ProofState:
     offset_units: int = 0
     seen_vars: Set[int] = field(default_factory=set)
     index: Optional[_CycleIndex] = None  # kept in step with ``entry_units`` when set
-
-    # read-only copies, for reading the state outside the engine
-    entries = property(lambda self: _fractions(self.entry_units, self.scale))
-    residues = property(lambda self: _fractions(self.residue_units, self.scale))
-    floor = property(lambda self: Fraction(self.floor_units, self.scale))
-    offset_total = property(lambda self: Fraction(self.offset_units, self.scale))
-
-
-def _fractions(units: Dict[object, int], scale: int) -> Mapping[object, Fraction]:
-    return MappingProxyType({key: Fraction(u, scale) for key, u in units.items()})
 
 
 RawItems = Iterable[Tuple[XorConstraint, Fraction]]
@@ -493,7 +481,8 @@ def _bfs_odd_walk(cover: Cover, source: int) -> Optional[List[Tuple[int, int, in
 def _odd_walk_length(
     cover: Cover, source: int, limit: Optional[int] = None, depth: Optional[Dict[int, int]] = None
 ) -> Optional[int]:
-    """Edges in the shortest odd closed walk through ``source``, or None.
+    """Edges in the shortest odd closed walk through ``source`` that visits
+    no node below ``source``, or None.
 
     Flipping every parity maps the double cover onto itself, so the walk
     length is the least ``d(k) + d(k ^ 1)`` over keys k, with d the distance
@@ -503,16 +492,17 @@ def _odd_walk_length(
     it returns None instead of any length of ``limit`` or more edges.  An
     empty ``depth`` dict passed in is left holding every key reached.
     """
+    start = 2 * source
     depth = {} if depth is None else depth
-    depth[2 * source] = 0
-    level = [2 * source]
+    depth[start] = 0
+    level = [start]
     d = 1  # depth of the keys found while expanding ``level``
     while level and (limit is None or 2 * d - 1 < limit):
         following = []
         even = False
         for key in level:
             for nxt in cover[key]:
-                if nxt in depth:
+                if nxt < start or nxt in depth:
                     continue
                 depth[nxt] = d
                 twin = depth.get(nxt ^ 1)
@@ -571,9 +561,14 @@ def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[
 
     Expects no opposite-parity pair, so no walk is shorter than the three
     edges that :func:`_triangle` finds.  Failing that, each length search
+    reads no node below its source, by the least-vertex rule of
+    :func:`_triangle`: a shortest odd cycle is found from its least node,
+    the first source on it, and no source finds a shorter one.  Each search
     only has to beat the best so far, and the scan ends at the first
     four-edge walk.  A search without a limit that finds no walk clears its
-    whole component: no source there has one.
+    whole component: its source is the component's least node, since a
+    smaller one would have cleared it, so it read the whole component, and
+    no source there has a walk.
     """
     triangle = _triangle(cover, sources, 1)
     if triangle is not None:
@@ -689,14 +684,17 @@ def _summarize(
     round_stats: Tuple[Tuple[int, int], ...] = (),
     provenance: str = "",
 ) -> ProofSummary:
+    scale = state.scale
+    entries = [(c, Fraction(u, scale)) for c, u in state.entry_units.items()]
+    residues = sorted((cl, Fraction(u, scale)) for cl, u in state.residue_units.items())
     return ProofSummary(
-        bound_m=Fraction(state.floor_units - state.offset_units, state.scale),
-        residual=normalize(state.entries.items(), var_count=var_count),
-        residue_clauses=tuple(sorted(state.residues.items())),
+        bound_m=Fraction(state.floor_units - state.offset_units, scale),
+        residual=normalize(entries, var_count=var_count),
+        residue_clauses=tuple(residues),
         rounds=rounds,
         steps=steps,
-        floor_total=state.floor,
-        offset_total=state.offset_total,
+        floor_total=Fraction(state.floor_units, scale),
+        offset_total=Fraction(state.offset_units, scale),
         round_stats=round_stats,
         provenance=provenance,
     )

@@ -280,6 +280,18 @@ def test_shape_parse_format_round_trip():
         TreeShape.parse("(1 2))")
 
 
+def test_shape_walk_must_be_one_binary_tree():
+    assert TreeShape((1, 2, 0, 3, 0)) == TreeShape.parse("((1 2) 3)")
+    # too few or too many internal nodes, an internal node with one subtree,
+    # nested tuples instead of a walk, or not a tuple of ints
+    bad = [(1, 2, 3), (1, 2, 0, 0), (1, 0, 2), ((1, 2), 3), (1, ((2,), 3)), [1, 2, 0], (True, 2, 0), 5]
+    for walk in bad:
+        with pytest.raises(ShapeError):
+            TreeShape(walk)
+    with pytest.raises(ShapeError, match=r"got \[0, 1\]"):
+        TreeShape.parse("(0 1)")  # leaf 0 is not read as an internal node
+
+
 def test_deep_shape_parse_count_format():
     k = 2001
     text = "(" * (k - 1) + "1" + "".join(f" {i})" for i in range(2, k + 1))
@@ -290,7 +302,8 @@ def test_deep_shape_parse_count_format():
     assert shape == TreeShape.left_comb(k)
     assert shape != TreeShape.balanced(k)
     assert hash(shape) == hash(TreeShape.left_comb(k))
-    assert repr(shape) == f"TreeShape(root={text.replace(' ', ', ')})"
+    walk = "1, 2, 0" + "".join(f", {i}, 0" for i in range(3, k + 1))
+    assert repr(shape) == f"TreeShape(postorder=({walk}))"
     items =tree_gadget(clause(*range(1, k + 1)), shape, None, VarAllocator(k + 1))
     assert len(items) == 3 * (k - 1)
 

@@ -27,9 +27,8 @@ def test_brute_on_binary_clause_translation():
     result = brute_opt_cost(problem)
     assert result.opt == F(1)
     assert result.cost == H
-    assert result.opt_witness == result.cost_witness
     # lexicographically least optimum: x=0, y=1 satisfies weight 1
-    assert result.opt_witness == {1: 0, 2: 1}
+    assert result.cost_witness == {1: 0, 2: 1}
 
 
 def test_brute_on_pure_floor():
@@ -37,7 +36,7 @@ def test_brute_on_pure_floor():
     result = brute_opt_cost(problem)
     assert result.opt == F(0)
     assert result.cost == F(1)
-    assert result.opt_witness == {}
+    assert result.cost_witness == {}
 
 
 def test_brute_matches_evaluate_exhaustively():
@@ -303,7 +302,7 @@ def test_brute_and_profile_match_fraction_reference(weights, chunk_bits, monkeyp
         result = brute_opt_cost_items(items, floor=floor)
         opt, cost, witness = _reference_brute(items, floor)
         assert (result.opt, result.cost) == (opt, cost)
-        assert result.opt_witness == result.cost_witness == witness
+        assert result.cost_witness == witness
 
         order = sorted({v for c, _ in items for v in _vars_of(c)} | {nvars + 1})
         rng.shuffle(order)
@@ -419,7 +418,7 @@ def _full_enumeration(monkeypatch, items, floor=F(0)):
 
 
 def _outcome(result):
-    return result.opt, result.cost, result.opt_witness, result.cost_witness
+    return result.opt, result.cost, result.cost_witness
 
 
 def _compiled_cnf(rng, nsrc, target):
@@ -481,7 +480,7 @@ def test_split_matches_full_enumeration_on_compiled_instances(
         assert _outcome(result) == _outcome(_full_enumeration(monkeypatch, items, problem.floor))
         if chunk_bits == 4:
             opt, cost, witness = _reference_brute(items, problem.floor)
-            assert _outcome(result) == (opt, cost, witness, witness)
+            assert _outcome(result) == (opt, cost, witness)
 
 
 def _relabel(items, names):
@@ -529,7 +528,7 @@ def test_split_matches_full_enumeration_on_random_items(
         assert _outcome(result) == _outcome(_full_enumeration(monkeypatch, items, floor))
         if chunk_bits == 2:
             opt, cost, witness = _reference_brute(items, floor)
-            assert _outcome(result) == (opt, cost, witness, witness)
+            assert _outcome(result) == (opt, cost, witness)
     assert splits >= 3 and var_free >= 1
 
 

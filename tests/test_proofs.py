@@ -147,27 +147,35 @@ def test_xlate_rows_are_the_clause_translations(k):
 # Rule application against a state
 
 
+def _weights(units, scale):
+    """A state's integer units read as Fraction weights."""
+    return {key: F(u, scale) for key, u in units.items()}
+
+
 def test_contra_decomposition_protocol():
     state = make_state([(xor([1, 2], 0), F(3)), (xor([1, 2], 1), F(2))])
     _, step = apply_rule(state, "contra", (xor([1, 2], 0), xor([1, 2], 1)), F(2))
-    assert state.floor == F(2)
-    assert state.entries == {xor([1, 2], 0): F(1)}
+    assert F(state.floor_units, state.scale) == F(2)
+    assert _weights(state.entry_units, state.scale) == {xor([1, 2], 0): F(1)}
     assert step.conclusions == ((EMPTY_CLAUSE, F(1)),)
 
 
 def test_chain00_example():
     state = make_state([(xor([1, 2], 0), F(1)), (xor([1, 3], 0), F(1))])
     _, step = apply_rule(state, "chain00", (xor([1, 2], 0), xor([1, 3], 0)), F(1))
-    assert state.entries == {xor([2, 3], 0): F(1)}
-    assert state.residues == {clause(1, -2, -3): F(2), clause(-1, 2, 3): F(2)}
+    assert _weights(state.entry_units, state.scale) == {xor([2, 3], 0): F(1)}
+    assert _weights(state.residue_units, state.scale) == {
+        clause(1, -2, -3): F(2),
+        clause(-1, 2, 3): F(2),
+    }
     assert step.residues == ((clause(1, -2, -3), F(2)), (clause(-1, 2, 3), F(2)))
 
 
 def test_unit10_example():
     state = make_state([(xor([1], 1), F(1)), (xor([1, 2], 0), F(1))])
     _, step = apply_rule(state, "unit10", (xor([1], 1), xor([1, 2], 0)), F(1))
-    assert state.entries == {xor([2], 1): F(1)}
-    assert state.residues == {clause(1, -2): F(2)}
+    assert _weights(state.entry_units, state.scale) == {xor([2], 1): F(1)}
+    assert _weights(state.residue_units, state.scale) == {clause(1, -2): F(2)}
 
 
 def test_apply_rule_weight_protocol_errors():
@@ -229,7 +237,8 @@ def test_protocol_error_messages_quote_rationals(rule, premises, weight, error, 
     assert str(caught.value) == message
     # the checker reports the same text at the step's index
     step = build_step(rule, premises, weight, 4 if rule == "compact00" else None)
-    items = list(_halves_and_thirds().entries.items())
+    state = _halves_and_thirds()
+    items = list(_weights(state.entry_units, state.scale).items())
     verdict = check_proof(items, [step])
     assert (verdict.accepted, verdict.failing_step, verdict.reason) == (False, 0, message)
 
@@ -257,9 +266,9 @@ def test_apply_compact_rule_scaling():
     alloc = VarAllocator(4)
     _, step = apply_rule(state, "compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, alloc)
     assert step.offset == H
-    assert state.offset_total == H
-    assert state.entries[xor([1, 4], 0)] == F(1)  # 2 * 1/2
-    assert state.entries[xor([2, 3], 1)] == H
+    assert F(state.offset_units, state.scale) == H
+    assert F(state.entry_units[xor([1, 4], 0)], state.scale) == F(1)  # 2 * 1/2
+    assert F(state.entry_units[xor([2, 3], 1)], state.scale) == H
     assert step.fresh_var == 4
 
 
@@ -539,13 +548,14 @@ def test_find_odd_cycle_searches_a_bipartite_component_once(monkeypatch):
     assert skipped > 300
 
 
-def test_odd_walk_length_is_the_full_search_length():
+def test_odd_walk_length_is_the_search_length_above_its_source():
     lengths = set()
     for entries in _sparse_entry_sets(5, 150):
         cover = _CycleIndex(entries).cover
         adj = _reference_adjacency(entries)
         for s in sorted(adj):
-            walk = _reference_bfs_odd_walk(adj, s)
+            above = {u: [(v, p) for v, p in nbrs if v >= s] for u, nbrs in adj.items() if u >= s}
+            walk = _reference_bfs_odd_walk(above, s)
             length = None if walk is None else len(walk)
             assert _odd_walk_length(cover, s) == length, (sorted(entries), s)
             for limit in (3, 4, 5, 6, 9):
@@ -845,7 +855,7 @@ PROOF_LOG_DIGESTS = {
 
 
 def _assert_index_matches(state):
-    rebuilt = _CycleIndex(state.entries)
+    rebuilt = _CycleIndex(state.entry_units)
     assert state.index.cover == rebuilt.cover
     assert state.index.opposite == rebuilt.opposite
 
@@ -860,13 +870,13 @@ def test_saturate_proof_logs_are_unchanged(case, mode):
     # replay with an incrementally kept index; it must equal a rebuilt one
     # after every contracted cycle and every retranslation
     state = make_state(problem)
-    state.index = _CycleIndex(state.entries)
+    state.index = _CycleIndex(state.entry_units)
     for step in steps:
         _replay_step(state, step)
         if step.rule == "contra" or step.rule.startswith("xlate"):
             _assert_index_matches(state)
     _assert_index_matches(state)
-    assert state.floor - state.offset_total == summary.bound_m
+    assert F(state.floor_units - state.offset_units, state.scale) == summary.bound_m
 
 
 # ---------------------------------------------------------------------------
