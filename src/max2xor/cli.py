@@ -124,6 +124,8 @@ def _cmd_bound(args, out) -> int:
         shapes = _load_shapes(args.shapes) if args.shapes else None
         report = compile_maxsat(parse_cnf(text), strategy=args.strategy, shapes=shapes)
         problem = report.problem
+    elif args.shapes:
+        raise Max2XorError("shapes need cnf or wcnf input, not x2x")
     else:
         problem = parse_x2x(text)
     summary, steps = saturate(problem, mode=mode, max_rounds=rounds)

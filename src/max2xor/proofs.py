@@ -7,7 +7,8 @@ clause weight.  Derived empty-clause weight m certifies that the problem's
 cost is at least m.
 
 All 13 rules are rows of one table, ``RULES``, and :func:`build_step` builds
-every step from its row, for the engine and the checker alike.  Compact
+every step from its row, for the engine and the checker alike; the checker
+tables each row once per process (per literal signs for a clause).  Compact
 rules replace the residue clauses of a chain step by three parity
 constraints on a fresh variable; retranslation steps (``xlate2``,
 ``xlate3``) turn a residue clause back into parity constraints through its
@@ -197,12 +198,6 @@ RULES: Dict[str, Rule] = {
     }.items()
 }
 
-# Retranslation rules: their one premise is a residue clause, not a parity constraint.
-CLAUSE_PREMISE_RULES = tuple(rule for rule, spec in RULES.items() if spec.form == "clause")
-
-# Rules that introduce a variable; every other rule takes no fresh variable.
-_FRESH_RULES = frozenset(rule for rule, spec in RULES.items() if spec.fresh)
-
 
 def _other(premise: XorConstraint, x: int) -> int:
     return premise.vars[0] if premise.vars[1] == x else premise.vars[1]
@@ -369,7 +364,7 @@ def apply_rule(
     Rules that introduce a variable (the compact rules and ``xlate3``) draw
     it from ``alloc``, which only advances when the step applies.
     """
-    takes_fresh = rule in _FRESH_RULES
+    takes_fresh = rule in RULES and RULES[rule].fresh  # build_step rejects an unknown rule
     if takes_fresh and alloc is None:
         raise PatternError(f"{rule} needs a variable allocator")
     fresh_var = alloc.next_id if takes_fresh else None
@@ -818,7 +813,8 @@ class CheckVerdict:
     """Outcome of :func:`check_proof`.
 
     ``stats`` counts the work of the call: ``truth_tables`` run and
-    ``shape_hits``, the steps whose shape was already verified.
+    ``shape_hits``, the steps whose shape (rule row, and literal signs for a
+    clause premise) had already passed its table.
     """
 
     accepted: bool
@@ -868,41 +864,31 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
 _ACCEPTED_SHAPES: Set[tuple] = set()
 
 
-def _item_shape(item, names: Dict[int, int]) -> tuple:
-    """Kind and signs of a parity or clause item, on renamed variables."""
-    if isinstance(item, OrClause):
-        return ("c",) + tuple([(names.setdefault(abs(l), len(names)), l > 0) for l in item.lits])
-    return ("x", item.parity) + tuple([names.setdefault(v, len(names)) for v in item.vars])
-
-
 def _step_shape(step: ProofStep) -> tuple:
-    """What a step's truth-table verdict depends on.
+    """A canonical step's ``RULES`` row, plus its literal signs for a clause
+    premise: at most 11 + 4 + 8 = 23 keys.
 
-    Variables are renamed by first appearance over the premises, the
-    conclusions, the residues and the fresh variable, in that order.  Every
-    unsatisfied-weight term is ``weight`` times a multiplier (one for a
-    premise), and ``weight > 0``, so steps with equal shapes have truth
-    tables that are the same up to renaming and scale.  Rationals enter as
-    (numerator, denominator) pairs, which hash several times faster than
-    ``Fraction``.
+    Steps with one key have one truth table up to renaming and scale:
+    only a step equal to :func:`build_step`'s canonical instance is tabled;
+    :func:`_premise_terms` fixes each form's premise pattern and parities;
+    the premises' variables are distinct by the ``XorConstraint`` and
+    ``OrClause`` invariants, and :func:`build_step` requires the fresh
+    variable to be new; every unsatisfied-weight term, and the offset,
+    scales with ``weight > 0``.  ``contra``'s table does not depend on the
+    arity: exactly one of the two parities is unsatisfied.  The key holds
+    the row's value, so a changed row is tabled afresh.
     """
-    names: Dict[int, int] = {}
-    ratio = step.offset / step.weight if step.offset else ZERO
-    return (
-        tuple([_item_shape(p, names) for p in step.premises]),
-        tuple([(_item_shape(c, names), m.numerator, m.denominator) for c, m in step.conclusions]),
-        tuple([(_item_shape(cl, names), m.numerator, m.denominator) for cl, m in step.residues]),
-        None if step.fresh_var is None else names.setdefault(step.fresh_var, len(names)),
-        ratio.numerator,
-        ratio.denominator,
-    )
+    spec = RULES[step.rule]
+    if spec.form == "clause":
+        return spec, tuple([l > 0 for l in step.premises[0].lits])
+    return spec
 
 
 def _derived_rounds(steps: Sequence[ProofStep]) -> int:
     rounds = 1
     previous_was_xlate = False
     for step in steps:
-        is_xlate = step.rule in CLAUSE_PREMISE_RULES
+        is_xlate = RULES[step.rule].form == "clause"
         if is_xlate and not previous_was_xlate:
             rounds += 1
         previous_was_xlate = is_xlate
@@ -923,8 +909,9 @@ def check_proof(
     applied weight equals the smaller premise weight) and the freshness of
     introduced variables.  Accepts, or pinpoints the first failing step.
 
-    A truth table runs once per step shape (see :func:`_step_shape`) in the
-    process: a step whose shape has already passed is not tabled again.
+    A truth table runs once per step shape in the process: the rule's row,
+    plus the literal signs for a clause premise (:func:`_step_shape`), so
+    the process runs at most 23 tables.
     Tables run on the oracle's enumeration kernel through
     :func:`~max2xor.oracle.unsat_weight_profile`; the checker imports none
     of the cycle search.

@@ -261,13 +261,20 @@ def test_shapes_without_the_tree_strategy_are_an_error(tmp_path, capsys):
     cnf.write_text("p cnf 4 1\n1 -2 3 4 0\n")
     shapes = tmp_path / "shapes.txt"
     shapes.write_text("((1 2) 3)\n")  # three leaves for a width-4 clause
-    for command in ("compile", "bound"):
-        code, output = invoke(command, str(cnf), "--shapes", str(shapes))
-        assert (code, output) == (EXIT_ERROR, ""), command
-        assert capsys.readouterr().err == (
-            "error: shapes need the tree strategy, not 'sequential'\n"
-        ), command
+    x2x = tmp_path / "small.x2x"
+    x2x.write_text("p x2x 2\n1/1 1 2 = 1\n")
+    sequential = "error: shapes need the tree strategy, not 'sequential'\n"
+    for command, source, shape_file, message in (
+        ("compile", cnf, shapes, sequential),
+        ("bound", cnf, shapes, sequential),
+        # a parity problem has no clauses to shape, so the file is never read
+        ("bound", x2x, tmp_path / "missing.txt", "error: shapes need cnf or wcnf input, not x2x\n"),
+    ):
+        code, output = invoke(command, str(source), "--shapes", str(shape_file))
+        assert (code, output) == (EXIT_ERROR, ""), (command, source)
+        assert capsys.readouterr().err == message, (command, source)
     assert not (tmp_path / "wide.x2x").exists() and not (tmp_path / "wide.x2xproof").exists()
+    assert not (tmp_path / "small.x2xproof").exists()
 
 
 def test_shape_files_skip_comments_and_blank_lines(tmp_path):

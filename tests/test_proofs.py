@@ -1,11 +1,13 @@
 """Resolution rules, the saturation engine, and the independent checker."""
 
+import ast
 import hashlib
 import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -1083,8 +1085,8 @@ def test_checker_counts_truth_tables_and_shape_hits(cold_shapes):
     problem = compile_maxsat(parse_cnf(_random_wcnf(8, 5, 18, 3))).problem
     summary, steps = saturate(problem, mode="retranslate")
     cold = check_proof(problem, steps, summary)
-    assert cold.stats == {"truth_tables": 28, "shape_hits": 212}
-    assert len(cold_shapes) == 28
+    assert cold.stats == {"truth_tables": 19, "shape_hits": 221}
+    assert len(cold_shapes) == 19
     warm = check_proof(problem, steps, summary)
     assert warm.stats == {"truth_tables": 0, "shape_hits": 240}
     assert warm == cold  # the counts take no part in comparison
@@ -1112,14 +1114,16 @@ def _reference_table_reason(step):
 
 
 def _random_canonical_steps(rng):
-    """One canonical step of every rule on random variables and weight."""
+    """One canonical step of every rule, and of every literal sign pattern
+    for a clause premise, on random variables and weight."""
     x, a, b, y = rng.sample(range(1, 30), 4)
     weight = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
-    lits = [v if rng.random() < 0.5 else -v for v in (x, a, b)]
     for rule, spec in proofs.RULES.items():
-        fresh = y if rule in proofs._FRESH_RULES else None
+        fresh = y if spec.fresh else None
         if spec.form == "clause":
-            yield build_step(rule, (clause(*lits[3 - spec.premise :]),), weight, fresh)
+            for signs in product((1, -1), repeat=spec.premise):
+                lits = [sign * v for sign, v in zip(signs, (x, a, b)[3 - spec.premise :])]
+                yield build_step(rule, (clause(*lits),), weight, fresh)
             continue
         par1, par2 = spec.premise
         if spec.form == "pairs":
@@ -1134,9 +1138,14 @@ def _random_canonical_steps(rng):
 def test_truth_table_matches_pure_fraction_enumeration():
     rng = random.Random(2022)
     rules, reasons = set(), set()
+    shapes = {}  # (rule, literal signs of a clause premise) -> checker shapes
     for _ in range(12):
         for step in _random_canonical_steps(rng):
             rules.add(step.rule)
+            signs = ()
+            if proofs.RULES[step.rule].form == "clause":
+                signs = tuple(l > 0 for l in step.premises[0].lits)
+            shapes.setdefault((step.rule, signs), set()).add(proofs._step_shape(step))
             assert proofs._truth_table_reason(step) is None is _reference_table_reason(step)
             constraint, mult = step.conclusions[0]
             flipped = xor(constraint.vars, constraint.parity ^ 1)
@@ -1151,6 +1160,10 @@ def test_truth_table_matches_pure_fraction_enumeration():
                 reasons.add(reason.split(" ")[0])
     assert rules == set(proofs.RULES) and len(rules) == 13
     assert reasons == {"unsatisfied", "fresh-variable"}
+    # a row with fixed literal signs has one shape on any variables and
+    # weight, and the 13 rows with their sign patterns have 11 + 4 + 8
+    assert all(len(keys) == 1 for keys in shapes.values())
+    assert len(shapes) == len(set().union(*shapes.values())) == 23
 
 
 def test_checker_rejects_wrong_claimed_bound():
@@ -1172,6 +1185,54 @@ def test_checker_rejects_stale_fresh_variable():
     verdict = check_proof(state_items + [(xor([4, 5], 1), F(1))], [step], None)
     assert not verdict.accepted
     assert "fresh" in verdict.reason
+
+
+def _loaded_names(node):
+    """Names loaded anywhere under ``node``, annotations left out."""
+    for name, value in ast.iter_fields(node):
+        if name in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            if isinstance(child, ast.AST):
+                yield from _loaded_names(child)
+
+
+def _module_closure(definitions, root):
+    """The top-level names that ``root``'s definition reaches by name."""
+    reached, pending = set(), [root]
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in definitions:
+            continue
+        reached.add(name)
+        pending.extend(_loaded_names(definitions[name]))
+    return reached
+
+
+def test_checker_reaches_none_of_the_cycle_search():
+    tree = ast.parse(Path(proofs.__file__).read_text())
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    definitions[target.id] = node
+    search = {
+        "_CycleIndex", "_next_cycle", "_shortest_odd_walk", "_triangle", "_odd_walk_length",
+        "_bfs_odd_walk", "_cover_edges", "_edge_constraint", "_contract_cycle", "_combine",
+        "saturate", "find_odd_cycle",
+    }
+    assert search <= set(definitions)
+    checker = _module_closure(definitions, "check_proof")
+    assert {"build_step", "_replay_step", "_truth_table_reason", "_step_shape"} <= checker
+    assert not checker & search, sorted(checker & search)
+    # the walk does follow calls into the search from the prover's side
+    assert "_next_cycle" in _module_closure(definitions, "saturate")
 
 
 # ---------------------------------------------------------------------------
