@@ -122,10 +122,13 @@ def _cmd_bound(args, out) -> int:
     report = None
     if sniff_format(text) == "cnf":
         shapes = _load_shapes(args.shapes) if args.shapes else None
-        report = compile_maxsat(parse_cnf(text), strategy=args.strategy, shapes=shapes)
+        strategy = args.strategy or "sequential"
+        report = compile_maxsat(parse_cnf(text), strategy=strategy, shapes=shapes)
         problem = report.problem
     elif args.shapes:
         raise Max2XorError("shapes need cnf or wcnf input, not x2x")
+    elif args.strategy:
+        raise Max2XorError("strategy needs cnf or wcnf input, not x2x")
     else:
         problem = parse_x2x(text)
     summary, steps = saturate(problem, mode=mode, max_rounds=rounds)
@@ -135,9 +138,14 @@ def _cmd_bound(args, out) -> int:
     if report is not None:
         print(f"shift {format_rational(report.shift)}", file=out)
     if args.verbose:
+        why = {summary.rounds + 1: " (dropped: bound did not rise)"}
+        # ended before its round limit with residues left to translate and no round dropped
+        if mode == "retranslate" and summary.rounds == len(summary.round_stats) < rounds:
+            if any(cl.k in (2, 3) for cl, _ in summary.residue_clauses):
+                why[summary.rounds] = " (stopped: an assignment attains the bound)"
         for round_no, (budget, used) in enumerate(summary.round_stats, start=1):
-            dropped = " (dropped: bound did not rise)" if round_no > summary.rounds else ""
-            print(f"round {round_no}: {used} steps over {budget} entries{dropped}", file=out)
+            note = why.get(round_no, "")
+            print(f"round {round_no}: {used} steps over {budget} entries{note}", file=out)
     if report is None:
         print(f"UNKNOWN lb={format_rational(max(Fraction(0), summary.bound_m))}", file=out)
         return EXIT_OK
@@ -278,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".cnf/.wcnf or .x2x file")
     p.add_argument("-o", "--output", help="proof log path")
     p.add_argument("--mode", default="discard", help="discard | retranslate[=N] | compact")
-    p.add_argument("--strategy", choices=STRATEGIES, default="sequential")
+    p.add_argument("--strategy", choices=STRATEGIES, help="cnf/wcnf input only (default sequential)")
     p.add_argument("--shapes")
 
     p = add_parser("check", help="replay and verify a proof log")

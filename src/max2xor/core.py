@@ -7,14 +7,21 @@ and normalized weighted problems.  All weights are `fractions.Fraction`;
 there is no floating point anywhere in the package.  The proof engine and
 the oracles' enumerations compute on integers over one common denominator
 inside, and every value they return is a `Fraction` again.
+
+`XorConstraint` and `OrClause` key every dict, so they are validated tuples
+``(vars, parity)`` and ``(lits,)`` that hash, compare and sort in C.  So
+``XorConstraint((1,), 0) == ((1,), 0)`` holds; no dict mixes the two types or
+plain tuples, and a constraint never equals a clause, which is shorter.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Rational = Fraction
 Var = int  # positive variable id
@@ -75,29 +82,37 @@ def check_weight(weight: Fraction) -> Fraction:
     return weight
 
 
-@dataclass(frozen=True, order=True)
-class XorConstraint:
+class XorConstraint(tuple):
     """Parity equation over at most two variables: XOR of `vars` equals `parity`.
 
     The XOR over the empty variable set is 0, so ``((), 1)`` is the always
     false constraint (the empty clause) and ``((), 0)`` is the tautology.
     """
 
-    vars: Tuple[int, ...]
-    parity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        vs, n = self.vars, len(self.vars)
-        if self.parity in (0, 1) and (n == 2 and 0 < vs[0] < vs[1] or n == 1 and vs[0] > 0 or not n):
-            return
-        if len(self.vars) > 2:
-            raise ArityError(f"at most 2 variables per parity constraint, got {self.vars}")
-        if list(self.vars) != sorted(set(self.vars)):
-            raise InvalidClauseError(f"variables must be sorted and distinct: {self.vars}")
-        if any(v <= 0 for v in self.vars):
-            raise InvalidClauseError(f"variable ids must be positive: {self.vars}")
-        if self.parity not in (0, 1):
-            raise InvalidClauseError(f"parity must be 0 or 1, got {self.parity}")
+    def __new__(cls, vars: Tuple[int, ...], parity: int):
+        n = len(vars)
+        if parity in (0, 1) and (n == 2 and 0 < vars[0] < vars[1] or n == 1 and vars[0] > 0 or not n):
+            return tuple.__new__(cls, (vars, parity))
+        if n > 2:
+            raise ArityError(f"at most 2 variables per parity constraint, got {vars}")
+        if list(vars) != sorted(set(vars)):
+            raise InvalidClauseError(f"variables must be sorted and distinct: {vars}")
+        if any(v <= 0 for v in vars):
+            raise InvalidClauseError(f"variable ids must be positive: {vars}")
+        if parity not in (0, 1):
+            raise InvalidClauseError(f"parity must be 0 or 1, got {parity}")
+        return tuple.__new__(cls, (vars, parity))
+
+    vars = property(itemgetter(0))
+    parity = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"XorConstraint(vars={self[0]!r}, parity={self[1]!r})"
 
     @property
     def arity(self) -> int:
@@ -125,35 +140,41 @@ EMPTY_CLAUSE = XorConstraint((), 1)
 TAUTOLOGY = XorConstraint((), 0)
 
 
-@dataclass(frozen=True, order=True)
-class OrClause:
+class OrClause(tuple):
     """Disjunction of signed DIMACS literals, sorted by variable, duplicate-free.
 
     The empty clause (k = 0) is the always-false SAT clause.
     """
 
-    lits: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lits: Tuple[int, ...]):
         last = 0
-        for l in self.lits:  # valid iff the variables are positive and strictly ascend
+        for l in lits:  # valid iff the variables are positive and strictly ascend
             v = l if l > 0 else -l
             if v <= last:
                 break
             last = v
         else:
-            return
-        if any(l == 0 for l in self.lits):
+            return tuple.__new__(cls, (lits,))
+        if any(l == 0 for l in lits):
             raise InvalidClauseError("literal 0 is not allowed")
         seen = set()
-        for l in self.lits:
+        for l in lits:
             if abs(l) in seen:
                 raise InvalidClauseError(
-                    f"duplicate or complementary literals on variable {abs(l)}: {self.lits}"
+                    f"duplicate or complementary literals on variable {abs(l)}: {lits}"
                 )
             seen.add(abs(l))
-        if list(self.lits) != sorted(self.lits, key=abs):
-            raise InvalidClauseError(f"literals must be sorted by variable id: {self.lits}")
+        raise InvalidClauseError(f"literals must be sorted by variable id: {lits}")
+
+    lits = property(itemgetter(0))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"OrClause(lits={self[0]!r})"
 
     @property
     def k(self) -> int:
@@ -214,6 +235,14 @@ class X2XProblem:
         return tuple(sorted(self.entries.items()))
 
 
+def _scaled(items: Sequence[Tuple[object, Fraction]], *extra: Fraction):
+    """Exact item weights, the lcm of their and ``extra``'s denominators, and
+    the item weights times that scale."""
+    weights = [w if type(w) is Fraction else Fraction(w) for _, w in items]
+    scale = math.lcm(*(w.denominator for w in weights + list(extra)))
+    return weights, scale, [w.numerator * (scale // w.denominator) for w in weights]
+
+
 def normalize(
     raw: Iterable[Tuple[XorConstraint, Fraction]],
     var_count: Optional[int] = None,
@@ -225,35 +254,39 @@ def normalize(
     replaced by adding w to the floor; this keeps the unsatisfied weight of
     the problem identical for every assignment.
     """
-    # per variable set: [parity-0 constraint, its weight, parity-1 constraint, its weight]
-    merged: Dict[Tuple[int, ...], list] = {}
-    for constraint, weight in raw:
-        weight = check_weight(weight)
-        slot = merged.get(constraint.vars)
-        if slot is None:
-            slot = merged[constraint.vars] = [None, None, None, None]
-        at = 2 * constraint.parity
-        held = slot[at + 1]
-        slot[at : at + 2] = constraint, weight if held is None else held + weight
+    items = [(constraint, check_weight(weight)) for constraint, weight in raw]
+    items.append((EMPTY_CLAUSE, Fraction(floor)))  # the floor is always-false weight
+    _, scale, units = _scaled(items)
+    return _normalize_units(zip([c for c, _ in items], units), scale, var_count)
 
-    floor = Fraction(floor)
+
+def _normalize_units(
+    raw: Iterable[Tuple[XorConstraint, int]], scale: int, var_count: Optional[int] = None
+) -> X2XProblem:
+    """:func:`normalize` on weights in units of 1/scale: one Fraction per kept entry."""
+    # per variable set: [parity-0 constraint, its units, parity-1 constraint, its units]
+    merged: Dict[Tuple[int, ...], list] = {}
+    for constraint, units in raw:
+        vars_, parity = constraint
+        slot = merged.setdefault(vars_, [None, 0, None, 0])
+        slot[2 * parity] = constraint
+        slot[2 * parity + 1] += units
+
+    floor = 0
     entries: Dict[XorConstraint, Fraction] = {}
     for vars_ in sorted(merged):  # key order: by variable set, parity 0 first
-        c0, w0, c1, w1 = merged[vars_]
+        c0, u0, c1, u1 = merged[vars_]
         if not vars_:  # the tautology is dropped, the empty clause joins the floor
-            floor += w1 or ZERO
+            floor += u1
             continue
-        if w0 and w1:
-            cancel = min(w0, w1)
-            floor += cancel
-            w0 -= cancel
-            w1 -= cancel
-        if w0:
-            entries[c0] = w0
-        if w1:
-            entries[c1] = w1
+        cancel = min(u0, u1)
+        floor += cancel
+        if u0 > cancel:
+            entries[c0] = Fraction(u0 - cancel, scale)
+        if u1 > cancel:
+            entries[c1] = Fraction(u1 - cancel, scale)
     count = max(max((v[-1] for v in merged if v), default=0), var_count or 0)
-    return X2XProblem(entries=entries, floor=floor, var_count=count)
+    return X2XProblem(entries=entries, floor=Fraction(floor, scale), var_count=count)
 
 
 def evaluate(problem: X2XProblem, assignment: Assignment) -> EvalResult:

@@ -434,9 +434,8 @@ def compile_maxsat(
     alloc = VarAllocator(instance.var_count + 1)
     raw: XorItems = []
     floor = ZERO
-    shift = ZERO
     aux_map: Dict[int, int] = {}
-    params: Dict[int, GadgetParams] = {}
+    arity_weight: Dict[int, Fraction] = {}  # source weight per clause width, in first-seen order
 
     for index, (cl, weight) in enumerate(instance.clauses):
         weight, k = check_weight(weight), cl.k
@@ -455,9 +454,10 @@ def compile_maxsat(
             raw.extend((constraint, weight * w) for constraint, w in items)
             for fresh in range(first_fresh, alloc.next_id):
                 aux_map[fresh] = index
-        params.setdefault(k, clause_params(k))
-        shift += weight * params[k].gap
+        arity_weight[k] = arity_weight.get(k, ZERO) + weight
 
+    params = {k: clause_params(k) for k in arity_weight}
+    shift = sum((w * params[k].gap for k, w in arity_weight.items()), ZERO)
     problem = normalize(raw, var_count=alloc.next_id - 1, floor=floor)
     return CompileReport(
         problem=problem,

@@ -43,7 +43,6 @@ or buckets taking half the cells of one call or more, fall back to that call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,6 +55,7 @@ from .core import (
     SizeGuardError,
     X2XProblem,
     ZERO,
+    _scaled,
 )
 
 MAX_ORACLE_VARS = 26
@@ -95,16 +95,6 @@ def _collect_vars(items: Sequence[WeightedItem]) -> List[int]:
     for constraint, _ in items:
         seen.update(_item_vars(constraint))
     return sorted(seen)
-
-
-def _scaled(
-    items: Sequence[WeightedItem], *extra: Fraction
-) -> Tuple[List[Fraction], int, List[int]]:
-    """Exact item weights, the lcm of their and ``extra``'s denominators, and
-    the item weights times that scale."""
-    weights = [w if type(w) is Fraction else Fraction(w) for _, w in items]
-    scale = math.lcm(*(w.denominator for w in weights + list(extra)))
-    return weights, scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _guard(nvars: int, max_vars: int) -> None:

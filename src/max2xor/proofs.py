@@ -41,12 +41,13 @@ from .core import (
     X2XProblem,
     XorConstraint,
     ZERO,
+    _normalize_units,
+    _scaled,
     check_weight,
     format_rational,
-    normalize,
 )
 from .gadgets import CompileReport, VarAllocator, problem_digest
-from .oracle import _collect_vars, _index_to_assignment, _scaled, unsat_weight_profile
+from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
 
 
 class RuleApplicationError(Max2XorError):
@@ -679,19 +680,54 @@ def _summarize(
     round_stats: Tuple[Tuple[int, int], ...] = (),
     provenance: str = "",
 ) -> ProofSummary:
-    scale = state.scale
-    entries = [(c, Fraction(u, scale)) for c, u in state.entry_units.items()]
-    residues = sorted((cl, Fraction(u, scale)) for cl, u in state.residue_units.items())
+    scale, residues = state.scale, state.residue_units
     return ProofSummary(
         bound_m=Fraction(state.floor_units - state.offset_units, scale),
-        residual=normalize(entries, var_count=var_count),
-        residue_clauses=tuple(residues),
+        residual=_normalize_units(state.entry_units.items(), scale, var_count),
+        residue_clauses=tuple((cl, Fraction(residues[cl], scale)) for cl in sorted(residues)),
         rounds=rounds,
         steps=steps,
         floor_total=Fraction(state.floor_units, scale),
         offset_total=Fraction(state.offset_units, scale),
         round_stats=round_stats,
         provenance=provenance,
+    )
+
+
+def _attains_bound(state: ProofState) -> bool:
+    """Whether a bounded search finds an assignment that satisfies every
+    entry and residue clause, which makes the bound the optimum.
+
+    The entries 2-colour each component from its first node, the constant
+    node at 0.  A clause then holds outright or wants components kept or
+    flipped; every flip of the components they touch is tried, up to 12 of them.
+    """
+    cover, colour = state.index.cover, {}  # variable -> (its component's first node, colour)
+    for start in [CONSTANT_NODE, *(key >> 1 for key in cover)]:
+        if start in colour:
+            continue
+        colour[start], stack = (start, 0), [2 * start]
+        while stack:
+            for nxt in cover.get(stack.pop(), ()):
+                v, c = nxt >> 1, nxt & 1
+                if v not in colour:
+                    colour[v] = start, c
+                    stack.append(nxt)
+                elif colour[v][1] != c:
+                    return False
+    bits, clauses = {}, []  # component -> its flip bit; per open clause, the bits kept or flipped
+    for cl in state.residue_units:
+        wants = [0, 0]
+        for lit in cl.lits:
+            component, c = colour.get(abs(lit), (abs(lit), 0))
+            if component != CONSTANT_NODE:
+                wants[c ^ (lit > 0)] |= bits.setdefault(component, 1 << len(bits))
+            elif c == (lit > 0):
+                break
+        else:
+            clauses.append(wants)
+    return len(bits) <= 12 and any(
+        all(~mask & keep or mask & flip for keep, flip in clauses) for mask in range(1 << len(bits))
     )
 
 
@@ -749,8 +785,10 @@ def saturate(
     proof prefix ends at a round end.  Retranslation stops after the first
     round whose end bound does not rise above the previous one (a tie keeps
     the shorter proof) and returns the proof and summary as of that previous
-    round.  ``rounds`` counts the rounds kept; ``round_stats`` has one
-    ``(budget, used)`` pair for every round run, dropped or not.
+    round.  It also stops at a round end where an assignment satisfies every
+    entry and residue clause: the bound is then the optimum, so a later round
+    would be dropped.  ``rounds`` counts the rounds kept; ``round_stats`` has
+    one ``(budget, used)`` pair for every round run, dropped or not.
     """
     if mode not in MODES:
         raise Max2XorError(f"unknown mode {mode!r}; pick one of {MODES}")
@@ -799,6 +837,7 @@ def saturate(
             mode != "retranslate"
             or rounds >= total_rounds
             or not any(cl.k in (2, 3) for cl in state.residue_units)
+            or _attains_bound(state)
         ):
             return summary, steps
         kept, kept_units = summary, bound_units

@@ -184,11 +184,9 @@ def parse_cnf(text: str) -> WcnfInstance:
 # .x2x
 
 
-def _entry_line(constraint: XorConstraint, weight: Fraction) -> str:
-    vars_part = " ".join(str(v) for v in constraint.vars)
-    if vars_part:
-        vars_part += " "
-    return f"{format_rational(weight)} {vars_part}= {constraint.parity}"
+def _entry_line(constraint: XorConstraint, weight: str) -> str:
+    vars_part = "".join([f"{v} " for v in constraint.vars])
+    return f"{weight} {vars_part}= {constraint.parity}"
 
 
 def emit_x2x(problem: X2XProblem) -> str:
@@ -196,15 +194,15 @@ def emit_x2x(problem: X2XProblem) -> str:
     if problem.floor != 0:
         lines.append(f"f {format_rational(problem.floor)}")
     for constraint, weight in problem.sorted_entries():
-        lines.append(_entry_line(constraint, weight))
+        lines.append(_entry_line(constraint, format_rational(weight)))
     return "\n".join(lines) + "\n"
 
 
-def _entry(tokens: List[str], line_no: int) -> Tuple[XorConstraint, Fraction]:
-    """Read ``<num>/<den> [<v1> [<v2>]] = <parity>``."""
+def _entry(tokens: List[str], line_no: int, positive=_positive) -> Tuple[XorConstraint, Fraction]:
+    """Read ``<num>/<den> [<v1> [<v2>]] = <parity>``, the weight by ``positive``."""
     if len(tokens) < 2 or tokens[-2] != "=":
         raise ParseError("entry line must end with '= <parity>'", line_no)
-    weight = _positive(tokens[0], "weight", line_no)
+    weight = positive(tokens[0], "weight", line_no)
     if tokens[-1] not in ("0", "1"):
         raise ParseError(f"parity must be 0 or 1, got {tokens[-1]!r}", line_no)
     variables = [_int(t, "variable", line_no) for t in tokens[1:-2]]
@@ -357,24 +355,30 @@ def parse_maxcut(text: str) -> CutGraph:
 # .x2xproof
 
 
-def _item_text(item, weight: Fraction) -> str:
-    """A proof item prefixed by its weight: a clause as ``<lit>... 0``, else an entry."""
+def _item_text(item, weight: str) -> str:
+    """A proof item prefixed by its weight's text: a clause as ``<lit>... 0``, else an entry."""
     if type(item) is not OrClause:
         return _entry_line(item, weight)
-    return " ".join([format_rational(weight), *map(str, item.lits), "0"])
+    return " ".join([weight, *map(str, item.lits), "0"])
 
 
 def emit_proof(steps) -> str:
     lines = []
     for step in steps:
-        head = f"s {step.rule} w {format_rational(step.weight)}"
+        weight = format_rational(step.weight)
+        head = f"s {step.rule} w {weight}"
         if step.fresh_var is not None:
             head += f" y {step.fresh_var}"
         if step.offset != 0:
             head += f" o {format_rational(step.offset)}"
-        premises = "; ".join(_item_text(p, step.weight) for p in step.premises)
-        conclusions = "; ".join(_item_text(c, step.weight * m) for c, m in step.conclusions)
-        residues = "; ".join(_item_text(c, step.weight * m) for c, m in step.residues)
+        premises = "; ".join(_item_text(p, weight) for p in step.premises)
+        conclusions, residues = (
+            "; ".join(
+                _item_text(c, weight if m == 1 else format_rational(step.weight * m))
+                for c, m in items
+            )
+            for items in (step.conclusions, step.residues)
+        )
         lines.append(f"{head} | {premises} | {conclusions} | {residues}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -382,6 +386,17 @@ def emit_proof(steps) -> str:
 def parse_proof(text: str):
     # deferred: proofs builds on textio
     from .proofs import RULES, ProofStep
+
+    # Within this call, each weight token read and each (weight, applied
+    # weight) token pair's multiplier; only successful reads are stored.
+    weights: Dict[str, Fraction] = {}
+    multipliers: Dict[Tuple[str, str], Fraction] = {}
+
+    def positive(token: str, what: str, line_no: int) -> Fraction:
+        value = weights.get(token)
+        if value is None:
+            value = weights[token] = _positive(token, what, line_no)
+        return value
 
     steps = []
     for line_no, line in _records(text, ("c",)):
@@ -394,7 +409,8 @@ def parse_proof(text: str):
         rule = tokens[1]
         if rule not in RULES:
             raise ParseError(f"unknown rule id {rule!r}", line_no)
-        weight = _positive(tokens[3], "applied weight", line_no)
+        applied = tokens[3]
+        weight = positive(applied, "applied weight", line_no)
         fresh_var, offset = None, ZERO
         for i in range(4, len(tokens), 2):
             key = tokens[i]
@@ -416,13 +432,16 @@ def parse_proof(text: str):
                 if not tokens:
                     continue
                 if reads_clauses:
-                    w = _positive(tokens[0], "weight", line_no)
+                    w = positive(tokens[0], "weight", line_no)
                     item = _clause(tokens[1:], line_no)
                 else:
-                    item, w = _entry(tokens, line_no)
+                    item, w = _entry(tokens, line_no, positive)
                 if index > 0:
-                    items.append((item, w / weight))
-                elif w == weight:
+                    pair = tokens[0], applied
+                    if pair not in multipliers:
+                        multipliers[pair] = w / weight
+                    items.append((item, multipliers[pair]))
+                elif tokens[0] == applied or w == weight:
                     items.append(item)
                 else:
                     raise ParseError(

@@ -90,9 +90,26 @@ def test_bound_verbose_prints_rounds_for_x2x_and_cnf(tmp_path):
     assert output.splitlines() == [
         f"wrote {tmp_path / 'tri.x2xproof'}",
         "m 1/1",
-        "round 1: 2 steps over 3 entries",
-        "round 2: 8 steps over 11 entries (dropped: bound did not rise)",
+        "round 1: 2 steps over 3 entries (stopped: an assignment attains the bound)",
         "UNKNOWN lb=1/1",
+    ]
+    # at the round limit the run ends there, whatever is left to translate
+    code, output = invoke("bound", str(x2x), "-v", "--mode", "retranslate=1")
+    assert (code, output.splitlines()[2]) == (EXIT_OK, "round 1: 2 steps over 3 entries")
+
+    # no assignment attains m = 4 here: round two runs and is dropped
+    dropped = tmp_path / "drop.x2x"
+    dropped.write_text(
+        "p x2x 3\nf 1/1\n4/1 1 2 = 1\n4/1 1 3 = 0\n2/1 2 = 0\n4/1 2 3 = 0\n1/1 3 = 1\n"
+    )
+    code, output = invoke("bound", str(dropped), "-v", "--mode", "retranslate=2")
+    assert code == EXIT_OK
+    assert output.splitlines() == [
+        f"wrote {tmp_path / 'drop.x2xproof'}",
+        "m 4/1",
+        "round 1: 4 steps over 5 entries",
+        "round 2: 12 steps over 14 entries (dropped: bound did not rise)",
+        "UNKNOWN lb=4/1",
     ]
 
     cnf = tmp_path / "four.cnf"
@@ -273,6 +290,11 @@ def test_shapes_without_the_tree_strategy_are_an_error(tmp_path, capsys):
         code, output = invoke(command, str(source), "--shapes", str(shape_file))
         assert (code, output) == (EXIT_ERROR, ""), (command, source)
         assert capsys.readouterr().err == message, (command, source)
+    # nor is a strategy, even the default one
+    for strategy in ("tree", "sequential"):
+        code, output = invoke("bound", str(x2x), "--strategy", strategy)
+        assert (code, output) == (EXIT_ERROR, ""), strategy
+        assert capsys.readouterr().err == "error: strategy needs cnf or wcnf input, not x2x\n"
     assert not (tmp_path / "wide.x2x").exists() and not (tmp_path / "wide.x2xproof").exists()
     assert not (tmp_path / "small.x2xproof").exists()
 

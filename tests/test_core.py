@@ -1,5 +1,7 @@
 """Data model: construction, evaluation, normalization, rational tokens."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -283,6 +285,9 @@ INVALID_SHAPES = [
      "duplicate or complementary literals on variable 1: (1, -1, 3)"),
     (OrClause, ((3, 1),), InvalidClauseError, "literals must be sorted by variable id: (3, 1)"),
     (OrClause, ((-2, 1),), InvalidClauseError, "literals must be sorted by variable id: (-2, 1)"),
+    (XorConstraint, ((1, 2), -1), InvalidClauseError, "parity must be 0 or 1, got -1"),
+    (OrClause, ((1, 3, -2),), InvalidClauseError,
+     "literals must be sorted by variable id: (1, 3, -2)"),
 ]
 
 
@@ -295,3 +300,28 @@ def test_invalid_shapes_keep_their_class_and_message(kind, args, error, message)
     assert type(caught.value) is error
     assert str(caught.value) == message
 
+
+
+def test_value_types_are_validated_tuples():
+    pair, unit, cl = XorConstraint((1, 2), 1), XorConstraint(vars=(3,), parity=0), clause(2, -1)
+    # equality is tuple equality, chosen so that hashing and comparing run in C
+    assert XorConstraint((1,), 0) == ((1,), 0) and hash(XorConstraint((1,), 0)) == hash(((1,), 0))
+    assert OrClause((1,)) == ((1,),)
+    # a constraint is a pair and a clause a 1-tuple, so they are never equal
+    assert XorConstraint((1,), 1) != OrClause((1,)) and XorConstraint((), 1) != OrClause(())
+    assert (pair.vars, pair.parity, pair.arity, unit.vars, unit.parity) == ((1, 2), 1, 2, (3,), 0)
+    assert (cl.lits, cl.k, cl.variables()) == ((-1, 2), 2, (1, 2))
+    assert sorted([pair, unit, TAUTOLOGY, EMPTY_CLAUSE]) == [TAUTOLOGY, EMPTY_CLAUSE, pair, unit]
+    assert repr(pair) == "XorConstraint(vars=(1, 2), parity=1)"
+    assert repr(TAUTOLOGY) == "XorConstraint(vars=(), parity=0)"
+    assert repr(cl) == "OrClause(lits=(-1, 2))" and repr(OrClause(())) == "OrClause(lits=())"
+    for value in (pair, unit, EMPTY_CLAUSE, cl, OrClause(())):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+        for twin in copies:
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+    with pytest.raises(AttributeError):
+        pair.parity = 0
+    with pytest.raises(AttributeError):
+        pair.note = "no instance dict"

@@ -732,7 +732,7 @@ def test_saturate_round_budget_respected():
 
 
 # Retranslating round one's residues raises the bound from 3 to 4, the
-# optimum; round three ties at 4 and is dropped.
+# optimum; an assignment then attains it, so round three is not run.
 PAYING = normalize(
     [
         (xor([1], 0), F(3)),
@@ -758,9 +758,66 @@ def _leftover_cost(summary):
 def test_retranslate_consumes_residues_and_keeps_identity():
     summary, steps = saturate(PAYING, mode="retranslate")
     assert {"xlate2", "xlate3"} <= {s.rule for s in steps}
-    assert (summary.bound_m, summary.rounds, len(summary.round_stats)) == (4, 2, 3)
+    assert (summary.bound_m, summary.rounds, len(summary.round_stats)) == (4, 2, 2)
     assert saturate(PAYING)[0].bound_m == 3
     assert summary.bound_m + _leftover_cost(summary) == brute_opt_cost(PAYING).cost
+
+
+def _stopped_early(summary, max_rounds):
+    """A retranslation that kept every round it ran, ended before its round
+    limit and left residues to translate: an assignment attained the bound."""
+    return len(summary.round_stats) == summary.rounds < max_rounds and any(
+        cl.k in (2, 3) for cl, _ in summary.residue_clauses
+    )
+
+
+def test_retranslate_stops_only_where_an_assignment_attains_the_bound(monkeypatch):
+    rng = random.Random(20261019)
+    stopped = 0
+    for trial in range(120):
+        if trial % 2:
+            problem = _random_problem(rng)
+        else:
+            text = _random_wcnf(trial, rng.randint(3, 5), rng.randint(6, 18), 2)
+            problem = compile_maxsat(parse_cnf(text)).problem
+        for max_rounds in (2, 3):
+            summary, steps = saturate(problem, mode="retranslate", max_rounds=max_rounds)
+            if not _stopped_early(summary, max_rounds):
+                continue
+            stopped += 1
+            assert _leftover_cost(summary) == 0, trial
+            capped, capped_steps = saturate(problem, mode="retranslate", max_rounds=summary.rounds)
+            assert replace(capped, round_stats=()) == replace(summary, round_stats=()), trial
+            assert capped_steps == steps, trial
+            # without the stop, every further round runs and is dropped
+            with monkeypatch.context() as patched:
+                patched.setattr(proofs, "_attains_bound", lambda state: False)
+                full, full_steps = saturate(problem, mode="retranslate", max_rounds=max_rounds)
+            assert replace(full, round_stats=()) == replace(summary, round_stats=()), trial
+            assert full_steps == steps, trial
+            assert full.round_stats[: summary.rounds] == summary.round_stats, trial
+            assert len(full.round_stats) == summary.rounds + 1, trial
+    assert stopped >= 100, stopped
+
+
+def test_witness_search_agrees_with_the_oracle_on_small_states():
+    rng = random.Random(1019)
+    found = 0
+    for trial in range(300):
+        problem = _random_problem(rng)
+        state = make_state(problem)
+        state.index = _CycleIndex(state.entry_units)
+        n = problem.var_count
+        for _ in range(rng.randint(0, 4)):
+            k = rng.randint(1, min(3, n))
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 2), k)]
+            state.residue_units[clause(*lits)] = 1
+        items = [(c, F(u)) for c, u in state.entry_units.items()]
+        items += [(cl, F(u)) for cl, u in state.residue_units.items()]
+        expected = brute_opt_cost_items(items).cost == 0
+        assert proofs._attains_bound(state) is expected, trial
+        found += expected
+    assert 100 <= found <= 200, found
 
 
 def test_retranslate_keeps_the_last_round_that_raised_the_bound():
@@ -1225,7 +1282,7 @@ def test_checker_reaches_none_of_the_cycle_search():
     search = {
         "_CycleIndex", "_next_cycle", "_shortest_odd_walk", "_triangle", "_odd_walk_length",
         "_bfs_odd_walk", "_cover_edges", "_edge_constraint", "_contract_cycle", "_combine",
-        "saturate", "find_odd_cycle",
+        "saturate", "find_odd_cycle", "_attains_bound",
     }
     assert search <= set(definitions)
     checker = _module_closure(definitions, "check_proof")

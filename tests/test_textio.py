@@ -475,3 +475,34 @@ def test_parse_proof_errors():
     with pytest.raises(ParseError):
         parse_proof("s contra w 1/1 | 1/1 1 = 0 | 1/1 = 1 |\n".replace(" | 1/1 = 1 |", ""))
     assert parse_proof("c comment only\n") == []
+
+
+# A 7-edge ring: five chain00 steps and one contra, every weight token 1/1 or
+# 2/1, so each weight of line 5 was already read on an earlier line.
+RING = "p x2x 7\n" + "".join(f"1/1 {i} {i + 1} = 0\n" for i in range(1, 7)) + "1/1 1 7 = 1\n"
+
+
+@pytest.mark.parametrize("bad", ["0/1", "-1/2", "1/0", "x"])
+@pytest.mark.parametrize("section", [0, 1, 2, 3])  # head, premises, conclusions, residues
+def test_parse_proof_memo_keeps_errors_exact(bad, section):
+    lines = emit_proof(saturate(parse_x2x(RING))[1]).splitlines()
+    assert len(lines) == 6 and all(" 1/1 " in line for line in lines)
+    parts = lines[4].split("|")
+    old = "w 1/1" if section == 0 else "2/1" if section == 3 else "1/1"
+    parts[section] = parts[section].replace(old, old[:-3] + bad, 1)
+    lines[4] = "|".join(parts)
+    with pytest.raises(ParseError) as caught:
+        parse_proof("\n".join(lines) + "\n")
+    what = "applied weight" if section == 0 else "weight"
+    reason = f"bad {what} '{bad}'" if bad in ("1/0", "x") else f"{what} must be positive, got {bad}"
+    assert (caught.value.line, str(caught.value)) == (5, f"line 5: {reason}")
+
+
+def test_parse_proof_memo_keeps_the_premise_weight_check():
+    # 2/1 was read as a residue weight on line 1; as a premise weight it
+    # still differs from the applied weight
+    lines = emit_proof(saturate(parse_x2x(RING))[1]).splitlines()
+    lines[4] = lines[4].replace("| 1/1 1 6 = 0;", "| 2/1 1 6 = 0;", 1)
+    with pytest.raises(ParseError) as caught:
+        parse_proof("\n".join(lines) + "\n")
+    assert str(caught.value) == "line 5: premise weight 2 differs from applied weight 1"
