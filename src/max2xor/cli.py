@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Sequence
 
+from .checker import bound_to_original, check_proof
 from .core import Max2XorError, ParseError, ShapeError, clause, format_rational
 from .gadgets import (
     STRATEGIES,
@@ -32,7 +33,7 @@ from .gadgets import (
     trevisan_3to2,
 )
 from .oracle import MAX_ORACLE_VARS, _guard, brute_opt_cost_items, verify_gadget
-from .proofs import MODES, bound_to_original, check_proof, saturate
+from .prover import MODES, saturate
 from .textio import (
     _records,
     emit_maxcut,
@@ -234,7 +235,7 @@ def _resolve_shape(args, k: int) -> TreeShape:
     if spec == "left":
         return TreeShape.left_comb(k)
     if spec == "random":
-        return TreeShape.random(k, random.Random(args.seed))
+        return TreeShape.random(k, random.Random(args.seed or 0))
     shape = _load_shapes(spec).get(0)
     if shape is None:
         raise Max2XorError(f"shape file {spec} holds no shape")
@@ -244,6 +245,10 @@ def _resolve_shape(args, k: int) -> TreeShape:
 
 
 def _cmd_gadget_verify(args, out) -> int:
+    if args.shape is not None and args.family != "t":
+        raise Max2XorError("--shape needs --family t")
+    if args.seed is not None and args.shape != "random":
+        raise Max2XorError("--seed needs --shape random")
     source, translation, claimed = _verify_family(args)
     verdict = verify_gadget(source, translation, claimed, max_vars=_oracle_guard())
     if verdict.certified:
@@ -304,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("gadget-verify", help="certify a translation's (alpha, beta)")
     p.add_argument("--family", required=True, choices=("t0", "t", "binary", "trevisan", "chain"))
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--shape", help="balanced | left | random | path to a shape file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shape", help="--family t only: balanced | left | random | shape file path")
+    p.add_argument("--seed", type=int, help="--shape random only (default 0)")
 
     return parser
 

@@ -50,6 +50,7 @@ from .core import (
     normalize,
     parse_rational,
 )
+from .rules import RULES, ProofStep
 
 # ---------------------------------------------------------------------------
 # Shared readers
@@ -384,9 +385,6 @@ def emit_proof(steps) -> str:
 
 
 def parse_proof(text: str):
-    # deferred: proofs builds on textio
-    from .proofs import RULES, ProofStep
-
     # Within this call, each weight token read and each (weight, applied
     # weight) token pair's multiplier; only successful reads are stored.
     weights: Dict[str, Fraction] = {}

@@ -27,7 +27,9 @@ from max2xor.gadgets import (
     trevisan_3to2,
 )
 from max2xor.oracle import brute_opt_cost, brute_opt_cost_items, verify_gadget
-from max2xor.proofs import bound_to_original, build_step, check_proof, saturate
+from max2xor.checker import bound_to_original, check_proof
+from max2xor.prover import saturate
+from max2xor.rules import build_step
 from max2xor.textio import parse_cnf
 
 F = Fraction

@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, formats on disk, exit codes."""
 
 import io
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from max2xor import cli
 from max2xor.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, EXIT_UNSAT, run
@@ -297,6 +302,44 @@ def test_shapes_without_the_tree_strategy_are_an_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: strategy needs cnf or wcnf input, not x2x\n"
     assert not (tmp_path / "wide.x2x").exists() and not (tmp_path / "wide.x2xproof").exists()
     assert not (tmp_path / "small.x2xproof").exists()
+
+
+def test_gadget_shapes_and_seeds_outside_the_tree_family_are_an_error(capsys):
+    shape_error, seed_error = "error: --shape needs --family t\n", "error: --seed needs --shape random\n"
+    for argv, message in (
+        (("--family", "t0", "--k", "4", "--shape", "/nonexistent"), shape_error),
+        (("--family", "binary", "--k", "2", "--shape", "random", "--seed", "4"), shape_error),
+        (("--family", "t", "--k", "4", "--seed", "4"), seed_error),
+        (("--family", "t", "--k", "4", "--shape", "left", "--seed", "4"), seed_error),
+    ):
+        assert invoke("gadget-verify", *argv) == (EXIT_ERROR, ""), argv
+        assert capsys.readouterr().err == message, argv
+    # a random shape without a seed takes seed 0
+    random_shape = ("gadget-verify", "--family", "t", "--k", "9", "--shape", "random")
+    assert invoke(*random_shape) == invoke(*random_shape, "--seed", "0")
+    assert invoke(*random_shape)[0] == EXIT_OK
+
+
+def test_a_billion_declared_variables_fit_in_a_gibibyte(tmp_path):
+    # the declared count costs no memory per variable: bound and check run
+    # under a 1 GiB address-space cap, in a child process
+    problem, proof = tmp_path / "wide.x2x", tmp_path / "wide.x2xproof"
+    problem.write_text("p x2x 1000000000\n1/1 1 2 = 1\n1/1 2 1000000000 = 1\n1/1 1 1000000000 = 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    outputs = []
+    for argv in (("bound", problem, "-o", proof), ("check", problem, proof)):
+        done = subprocess.run(
+            [sys.executable, "-m", "max2xor.cli", *map(str, argv)],
+            env=env, preexec_fn=capped, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append(done.stdout)
+    assert "m 1/1\n" in outputs[0]
+    assert outputs[1] == "ACCEPTED steps=2 m=1/1\n"
 
 
 def test_shape_files_skip_comments_and_blank_lines(tmp_path):

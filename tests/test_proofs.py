@@ -22,7 +22,8 @@ from max2xor.core import (
     normalize,
     xor,
 )
-from max2xor import proofs
+from max2xor import checker, prover, rules
+from max2xor.checker import ProvenanceError, bound_to_original, check_proof
 from max2xor.gadgets import (
     VarAllocator,
     binary_gadget,
@@ -31,23 +32,22 @@ from max2xor.gadgets import (
     sequential_gadget,
 )
 from max2xor.oracle import brute_opt_cost, brute_opt_cost_items, verify_gadget
-from max2xor.proofs import (
+from max2xor.prover import (
     MODES,
-    PatternError,
-    ProvenanceError,
-    RuleApplicationError,
     _CycleIndex,
     _next_cycle,
     _odd_walk_length,
-    _replay_step,
     _triangle,
-    apply_rule,
-    bound_to_original,
-    build_step,
-    check_proof,
     find_odd_cycle,
-    make_state,
     saturate,
+)
+from max2xor.rules import (
+    PatternError,
+    RuleApplicationError,
+    _replay_step,
+    apply_rule,
+    build_step,
+    make_state,
 )
 from max2xor.textio import emit_proof, parse_cnf, parse_proof
 
@@ -532,13 +532,13 @@ def test_find_odd_cycle_searches_a_bipartite_component_once(monkeypatch):
     # a component searched without a limit and found free of odd walks is
     # not searched again; one searched after the odd one may be, with limits
     searched = []
-    length_of = proofs._odd_walk_length
+    length_of = prover._odd_walk_length
 
     def counting(cover, source, limit=None, depth=None):
         searched.append(source)
         return length_of(cover, source, limit, depth)
 
-    monkeypatch.setattr(proofs, "_odd_walk_length", counting)
+    monkeypatch.setattr(prover, "_odd_walk_length", counting)
     skipped = 0
     for entries, bipartite, odd_least in _components_entry_sets(12, 300):
         searched.clear()
@@ -791,7 +791,7 @@ def test_retranslate_stops_only_where_an_assignment_attains_the_bound(monkeypatc
             assert capped_steps == steps, trial
             # without the stop, every further round runs and is dropped
             with monkeypatch.context() as patched:
-                patched.setattr(proofs, "_attains_bound", lambda state: False)
+                patched.setattr(prover, "_attains_bound", lambda state, index: False)
                 full, full_steps = saturate(problem, mode="retranslate", max_rounds=max_rounds)
             assert replace(full, round_stats=()) == replace(summary, round_stats=()), trial
             assert full_steps == steps, trial
@@ -806,7 +806,7 @@ def test_witness_search_agrees_with_the_oracle_on_small_states():
     for trial in range(300):
         problem = _random_problem(rng)
         state = make_state(problem)
-        state.index = _CycleIndex(state.entry_units)
+        index = _CycleIndex(state.entry_units)
         n = problem.var_count
         for _ in range(rng.randint(0, 4)):
             k = rng.randint(1, min(3, n))
@@ -815,7 +815,7 @@ def test_witness_search_agrees_with_the_oracle_on_small_states():
         items = [(c, F(u)) for c, u in state.entry_units.items()]
         items += [(cl, F(u)) for cl, u in state.residue_units.items()]
         expected = brute_opt_cost_items(items).cost == 0
-        assert proofs._attains_bound(state) is expected, trial
+        assert prover._attains_bound(state, index) is expected, trial
         found += expected
     assert 100 <= found <= 200, found
 
@@ -840,7 +840,7 @@ def test_saturate_rejects_bad_round_counts_before_any_work(rounds, monkeypatch):
     def no_work(source):
         raise AssertionError("saturate did work before checking max_rounds")
 
-    monkeypatch.setattr(proofs, "make_state", no_work)
+    monkeypatch.setattr(prover, "make_state", no_work)
     for mode in MODES:
         with pytest.raises(Max2XorError, match="^retranslate rounds must be at least 1$"):
             saturate([(xor([1], 0), F(1)), (xor([1], 1), F(1))], mode=mode, max_rounds=rounds)
@@ -913,10 +913,10 @@ PROOF_LOG_DIGESTS = {
 }
 
 
-def _assert_index_matches(state):
+def _assert_index_matches(index, state):
     rebuilt = _CycleIndex(state.entry_units)
-    assert state.index.cover == rebuilt.cover
-    assert state.index.opposite == rebuilt.opposite
+    assert index.cover == rebuilt.cover
+    assert index.opposite == rebuilt.opposite
 
 
 @pytest.mark.parametrize("case,mode", sorted(PROOF_LOG_DIGESTS), ids=str)
@@ -926,15 +926,14 @@ def test_saturate_proof_logs_are_unchanged(case, mode):
     text = f"{format_rational(summary.bound_m)}\n{emit_proof(steps)}"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PROOF_LOG_DIGESTS[(case, mode)]
 
-    # replay with an incrementally kept index; it must equal a rebuilt one
-    # after every contracted cycle and every retranslation
+    # replay with an index kept beside the state as the prover keeps it; it
+    # must equal a rebuilt one after every step, in every mode
     state = make_state(problem)
-    state.index = _CycleIndex(state.entry_units)
+    index = _CycleIndex(state.entry_units)
     for step in steps:
         _replay_step(state, step)
-        if step.rule == "contra" or step.rule.startswith("xlate"):
-            _assert_index_matches(state)
-    _assert_index_matches(state)
+        index.follow(step, state.entry_units)
+        _assert_index_matches(index, state)
     assert F(state.floor_units - state.offset_units, state.scale) == summary.bound_m
 
 
@@ -1040,7 +1039,7 @@ def test_checker_rejects_tampered_fields_everywhere():
 def cold_shapes(monkeypatch):
     """An empty accepted-shape cache for this test only."""
     shapes = set()
-    monkeypatch.setattr(proofs, "_ACCEPTED_SHAPES", shapes)
+    monkeypatch.setattr(checker, "_ACCEPTED_SHAPES", shapes)
     return shapes
 
 
@@ -1118,11 +1117,11 @@ def test_checker_tables_an_unsound_rule_after_its_sound_shape_was_cached(
 
     # flip the first literal of the rule's first residue template; the
     # engine and the canonical comparison now both use the unsound template
-    spec = proofs.RULES[rule]
+    spec = rules.RULES[rule]
     (first, multiplier), *rest = spec.residues
     (role, sign), *others = first
     unsound = (((role, -sign), *others), multiplier)
-    monkeypatch.setitem(proofs.RULES, rule, spec._replace(residues=(unsound, *rest)))
+    monkeypatch.setitem(rules.RULES, rule, spec._replace(residues=(unsound, *rest)))
     bad_summary, bad_steps = saturate(problem)
     index = next(i for i, step in enumerate(bad_steps) if step.rule == rule)
 
@@ -1175,7 +1174,7 @@ def _random_canonical_steps(rng):
     for a clause premise, on random variables and weight."""
     x, a, b, y = rng.sample(range(1, 30), 4)
     weight = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
-    for rule, spec in proofs.RULES.items():
+    for rule, spec in rules.RULES.items():
         fresh = y if spec.fresh else None
         if spec.form == "clause":
             for signs in product((1, -1), repeat=spec.premise):
@@ -1194,16 +1193,16 @@ def _random_canonical_steps(rng):
 
 def test_truth_table_matches_pure_fraction_enumeration():
     rng = random.Random(2022)
-    rules, reasons = set(), set()
+    seen_rules, reasons = set(), set()
     shapes = {}  # (rule, literal signs of a clause premise) -> checker shapes
     for _ in range(12):
         for step in _random_canonical_steps(rng):
-            rules.add(step.rule)
+            seen_rules.add(step.rule)
             signs = ()
-            if proofs.RULES[step.rule].form == "clause":
+            if rules.RULES[step.rule].form == "clause":
                 signs = tuple(l > 0 for l in step.premises[0].lits)
-            shapes.setdefault((step.rule, signs), set()).add(proofs._step_shape(step))
-            assert proofs._truth_table_reason(step) is None is _reference_table_reason(step)
+            shapes.setdefault((step.rule, signs), set()).add(checker._step_shape(step))
+            assert checker._truth_table_reason(step) is None is _reference_table_reason(step)
             constraint, mult = step.conclusions[0]
             flipped = xor(constraint.vars, constraint.parity ^ 1)
             mutants = [
@@ -1212,10 +1211,10 @@ def test_truth_table_matches_pure_fraction_enumeration():
                 replace(step, conclusions=((constraint, 2 * mult),) + step.conclusions[1:]),
             ]
             for mutant in mutants:
-                reason = proofs._truth_table_reason(mutant)
+                reason = checker._truth_table_reason(mutant)
                 assert reason is not None and reason == _reference_table_reason(mutant), mutant
                 reasons.add(reason.split(" ")[0])
-    assert rules == set(proofs.RULES) and len(rules) == 13
+    assert seen_rules == set(rules.RULES) and len(seen_rules) == 13
     assert reasons == {"unsatisfied", "fresh-variable"}
     # a row with fixed literal signs has one shape on any variables and
     # weight, and the 13 rows with their sign patterns have 11 + 4 + 8
@@ -1242,54 +1241,54 @@ def test_checker_rejects_stale_fresh_variable():
     verdict = check_proof(state_items + [(xor([4, 5], 1), F(1))], [step], None)
     assert not verdict.accepted
     assert "fresh" in verdict.reason
+    # variables 4 and 5 occur in no entry, but a problem declaring 5 owns them
+    problem = X2XProblem(dict(state_items), var_count=5)
+    for fresh in (4, 5, 6):
+        step = build_step("compact00", (xor([1, 2], 0), xor([1, 3], 0)), F(1), fresh_var=fresh)
+        verdict = check_proof(problem, [step])
+        if fresh <= 5:
+            assert (verdict.accepted, verdict.reason) == (False, f"variable {fresh} is not fresh")
+        else:
+            assert verdict.accepted and verdict.summary.residual.var_count == 6
 
 
-def _loaded_names(node):
-    """Names loaded anywhere under ``node``, annotations left out."""
-    for name, value in ast.iter_fields(node):
-        if name in ("annotation", "returns"):
+def _package_imports(module):
+    """The ``max2xor`` modules that ``module``'s source imports; a name taken
+    from the package itself counts as an import of ``__init__``."""
+    package = Path(checker.__file__).parent
+    imported = set()
+    for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["max2xor" if node.level else None, node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
             continue
-        for child in value if isinstance(value, list) else [value]:
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                yield child.id
-            if isinstance(child, ast.AST):
-                yield from _loaded_names(child)
+        for name in names:
+            top, _, rest = name.partition(".")
+            if top == "max2xor":
+                part = rest.split(".")[0]
+                imported.add(part if (package / f"{part}.py").exists() else "__init__")
+    return imported
 
 
-def _module_closure(definitions, root):
-    """The top-level names that ``root``'s definition reaches by name."""
+def _import_closure(root):
     reached, pending = set(), [root]
     while pending:
-        name = pending.pop()
-        if name in reached or name not in definitions:
-            continue
-        reached.add(name)
-        pending.extend(_loaded_names(definitions[name]))
-    return reached
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(_package_imports(module))
+    return reached - {root}
 
 
-def test_checker_reaches_none_of_the_cycle_search():
-    tree = ast.parse(Path(proofs.__file__).read_text())
-    definitions = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            definitions[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    definitions[target.id] = node
-    search = {
-        "_CycleIndex", "_next_cycle", "_shortest_odd_walk", "_triangle", "_odd_walk_length",
-        "_bfs_odd_walk", "_cover_edges", "_edge_constraint", "_contract_cycle", "_combine",
-        "saturate", "find_odd_cycle", "_attains_bound",
-    }
-    assert search <= set(definitions)
-    checker = _module_closure(definitions, "check_proof")
-    assert {"build_step", "_replay_step", "_truth_table_reason", "_step_shape"} <= checker
-    assert not checker & search, sorted(checker & search)
-    # the walk does follow calls into the search from the prover's side
-    assert "_next_cycle" in _module_closure(definitions, "saturate")
+def test_checker_imports_none_of_the_prover():
+    closure = _import_closure("checker")
+    assert "rules" in closure and "prover" not in closure, sorted(closure)
+    assert _package_imports("rules") == {"core"}
+    # the walk does follow imports into the prover from the command line
+    assert "prover" in _import_closure("cli")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from max2xor.core import (
     xor,
 )
 from max2xor.gadgets import to_maxcut
-from max2xor.proofs import saturate
+from max2xor.prover import saturate
 from max2xor.textio import (
     CutGraph,
     emit_maxcut,
