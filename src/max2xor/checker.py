@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
 from .core import Max2XorError, X2XProblem, ZERO, format_rational
-from .gadgets import CompileReport
 from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
 from .rules import (
     RULES,
@@ -83,12 +82,17 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
 # table, shared by every check_proof call in the process.  Rejections are
 # never stored, so a failing step always runs its table and its message
 # quotes the real weights and assignment.
-_ACCEPTED_SHAPES: Set[tuple] = set()
+_ACCEPTED_SHAPES: Set[object] = set()
+
+# By the id of a ``RULES`` row object: the row, kept alive so that its id is
+# its own, and the number of its value, so a row's Fractions hash once.
+_ROW_KEYS: Dict[int, Tuple[tuple, int]] = {}
+_ROW_VALUES: Dict[tuple, int] = {}
 
 
-def _step_shape(step: ProofStep) -> tuple:
-    """A canonical step's ``RULES`` row, plus its literal signs for a clause
-    premise: at most 11 + 4 + 8 = 23 keys.
+def _step_shape(step: ProofStep) -> object:
+    """A canonical step's ``RULES`` row, by the number of its value, plus its
+    literal signs for a clause premise: at most 11 + 4 + 8 = 23 keys.
 
     Steps with one key have one truth table up to renaming and scale:
     only a step equal to :func:`build_step`'s canonical instance is tabled;
@@ -97,13 +101,16 @@ def _step_shape(step: ProofStep) -> tuple:
     ``OrClause`` invariants, and :func:`build_step` requires the fresh
     variable to be new; every unsatisfied-weight term, and the offset,
     scales with ``weight > 0``.  ``contra``'s table does not depend on the
-    arity: exactly one of the two parities is unsatisfied.  The key holds
+    arity: exactly one of the two parities is unsatisfied.  The key numbers
     the row's value, so a changed row is tabled afresh.
     """
     spec = RULES[step.rule]
+    row = _ROW_KEYS.get(id(spec))
+    if row is None:
+        row = _ROW_KEYS[id(spec)] = spec, _ROW_VALUES.setdefault(spec, len(_ROW_VALUES))
     if spec.form == "clause":
-        return spec, tuple([l > 0 for l in step.premises[0].lits])
-    return spec
+        return row[1], tuple([l > 0 for l in step.premises[0].lits])
+    return row[1]
 
 
 def _derived_rounds(steps: Sequence[ProofStep]) -> int:
@@ -192,12 +199,13 @@ class BoundVerdict:
     message: str
 
 
-def bound_to_original(summary: ProofSummary, report: CompileReport) -> BoundVerdict:
+def bound_to_original(summary: ProofSummary, report: "CompileReport") -> BoundVerdict:
     """Interpret a compiled-problem bound for the source instance.
 
     The compilation shifted the cost up by ``report.shift``, so the source
     cost is at least ``bound_m - shift``; reaching ``shift + 1`` proves a
-    decision instance unsatisfiable.
+    decision instance unsatisfiable.  Only the annotation names the report's
+    class, ``gadgets.CompileReport``: the checker does not import the compiler.
     """
     if summary.provenance != report.provenance:
         raise ProvenanceError(

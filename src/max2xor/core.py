@@ -20,8 +20,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Rational = Fraction
 Var = int  # positive variable id
@@ -260,10 +261,15 @@ def normalize(
     return _normalize_units(zip([c for c, _ in items], units), scale, var_count)
 
 
+def _unit_fractions(scale: int) -> Callable[[int], Fraction]:
+    """``Fraction(units, scale)`` by units, each value built once: make one per call."""
+    return lru_cache(maxsize=None)(lambda units: Fraction(units, scale))
+
+
 def _normalize_units(
     raw: Iterable[Tuple[XorConstraint, int]], scale: int, var_count: Optional[int] = None
 ) -> X2XProblem:
-    """:func:`normalize` on weights in units of 1/scale: one Fraction per kept entry."""
+    """:func:`normalize` on weights in units of 1/scale: one Fraction per kept weight value."""
     # per variable set: [parity-0 constraint, its units, parity-1 constraint, its units]
     merged: Dict[Tuple[int, ...], list] = {}
     for constraint, units in raw:
@@ -273,6 +279,7 @@ def _normalize_units(
         slot[2 * parity + 1] += units
 
     floor = 0
+    fraction = _unit_fractions(scale)
     entries: Dict[XorConstraint, Fraction] = {}
     for vars_ in sorted(merged):  # key order: by variable set, parity 0 first
         c0, u0, c1, u1 = merged[vars_]
@@ -282,9 +289,9 @@ def _normalize_units(
         cancel = min(u0, u1)
         floor += cancel
         if u0 > cancel:
-            entries[c0] = Fraction(u0 - cancel, scale)
+            entries[c0] = fraction(u0 - cancel)
         if u1 > cancel:
-            entries[c1] = Fraction(u1 - cancel, scale)
+            entries[c1] = fraction(u1 - cancel)
     count = max(max((v[-1] for v in merged if v), default=0), var_count or 0)
     return X2XProblem(entries=entries, floor=Fraction(floor, scale), var_count=count)
 

@@ -255,7 +255,10 @@ def _pair_constraint(t1: Term, t2: Term, target: int) -> XorConstraint:
             parity ^= 1  # the constant one
         else:
             variables.append(var)
-    return xor(variables, parity)
+    variables.sort()
+    if len(variables) == 2 and variables[0] == variables[1]:
+        variables = []  # x + x = 0
+    return XorConstraint(tuple(variables), parity)
 
 
 def _triangle(out: XorItems, left: Term, right: Term, parent: Term) -> None:
@@ -436,6 +439,7 @@ def compile_maxsat(
     floor = ZERO
     aux_map: Dict[int, int] = {}
     arity_weight: Dict[int, Fraction] = {}  # source weight per clause width, in first-seen order
+    combs: Dict[int, TreeShape] = {}  # the sequential strategy's shape per width
 
     for index, (cl, weight) in enumerate(instance.clauses):
         weight, k = check_weight(weight), cl.k
@@ -447,11 +451,11 @@ def compile_maxsat(
         else:
             first_fresh = alloc.next_id
             if strategy == "sequential":
-                items = sequential_gadget(cl, None, alloc)
+                shape = combs.get(k) or combs.setdefault(k, TreeShape.left_comb(k))
             else:
                 shape = shapes.get(index) or TreeShape.balanced(k)
-                items = tree_gadget(cl, shape, None, alloc)
-            raw.extend((constraint, weight * w) for constraint, w in items)
+            half = weight * HALF  # every item of a tree translation weighs one half
+            raw.extend((constraint, half) for constraint, _ in tree_gadget(cl, shape, None, alloc))
             for fresh in range(first_fresh, alloc.next_id):
                 aux_map[fresh] = index
         arity_weight[k] = arity_weight.get(k, ZERO) + weight

@@ -11,9 +11,9 @@ from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core import Max2XorError, X2XProblem, XorConstraint
+from .core import Max2XorError, X2XProblem, XorConstraint, _unit_fractions
 from .gadgets import VarAllocator, problem_digest
 from .rules import ProofStep, ProofState, ProofSummary, RawItems, _summarize, apply_rule, make_state
 
@@ -52,27 +52,39 @@ class _CycleIndex:
     order.  It is the one record of which constraints exist: the set on
     (u, v) at parity p is present exactly when ``2v + p`` is on the list of
     ``2u``.  ``opposite`` holds the nonempty variable sets at both parities.
+    An odd triangle whose least vertex is below ``tri_from`` uses one of
+    ``added``, the constraints added since the last odd triangle pass.
     """
 
     def __init__(self, entries: Iterable[XorConstraint]):
         self.cover: Cover = {}
         self.opposite: Set[Tuple[int, ...]] = set()
+        self.sources: List[int] = []  # the vertices on an edge, ascending
+        self.added: List[XorConstraint] = []
         for constraint in entries:
             self.add(constraint)
+        self.added.clear()
+        self.tri_from = CONSTANT_NODE
 
-    def _links(self, key: int, nbr: int) -> bool:
-        nbrs = self.cover.get(key, ())
-        i = bisect_left(nbrs, nbr)
-        return i < len(nbrs) and nbrs[i] == nbr
+    def has(self, vars_: Tuple[int, ...], parity: int) -> bool:
+        u, v = (CONSTANT_NODE, *vars_) if len(vars_) == 1 else vars_
+        nbrs = self.cover.get(2 * u, ())
+        i = bisect_left(nbrs, 2 * v + parity)
+        return i < len(nbrs) and nbrs[i] == 2 * v + parity
 
     def add(self, constraint: XorConstraint) -> None:
-        if not constraint.vars:
+        vars_, parity = constraint
+        if not vars_:
             return
+        if self.has(vars_, parity ^ 1):
+            self.opposite.add(vars_)
         edges = _cover_edges(constraint)
-        if self._links(edges[0][0], edges[0][1] ^ 1):  # the edge of the other parity
-            self.opposite.add(constraint.vars)
+        for key, _ in edges[::2]:  # 2u and 2v
+            if key not in self.cover:
+                insort(self.sources, key >> 1)
         for key, nbr in edges:
             insort(self.cover.setdefault(key, []), nbr)
+        self.added.append(constraint)
 
     def discard(self, constraint: XorConstraint) -> None:
         self.opposite.discard(constraint.vars)
@@ -81,34 +93,69 @@ class _CycleIndex:
             del nbrs[bisect_left(nbrs, nbr)]
             if not nbrs:
                 del self.cover[key]
+                if not key & 1:
+                    del self.sources[bisect_left(self.sources, key >> 1)]
 
-    def follow(self, step: ProofStep, entries: Entries) -> None:
-        """Catch up with ``step``, replayed into ``entries``, in the replay's
-        order: the premises used up leave, then new conclusions join."""
-        for premise in step.premises:
-            if isinstance(premise, XorConstraint) and premise not in entries:
-                self.discard(premise)
-        for constraint, _ in step.conclusions:
-            vars_, parity = constraint
-            if vars_:
+    def follow(self, steps: Iterable[ProofStep], entries: Entries) -> None:
+        """Catch up with ``steps``, replayed into ``entries``: each constraint
+        they name leaves if used up and joins if new, in any order."""
+        touched: Set[object] = set()
+        for step in steps:
+            touched.update(step.premises)
+            touched.update([c for c, _ in step.conclusions])
+        for item in touched:
+            if type(item) is XorConstraint and item[0] and (item in entries) != self.has(*item):
+                (self.add if item in entries else self.discard)(item)
+
+    def triangle_floor(self) -> int:
+        """``tri_from`` lowered to ``min(u, w)`` for each of ``added`` still
+        present: its ends u < v and their least neighbour w closing parity 1."""
+        cover, floor = self.cover, self.tri_from
+        for vars_, parity in self.added:
+            if self.has(vars_, parity):
                 u, v = (CONSTANT_NODE, *vars_) if len(vars_) == 1 else vars_
-                if not self._links(2 * u, 2 * v + parity):
-                    self.add(constraint)
+                closing = {key ^ parity ^ 1 for key in cover[2 * v]}  # keys 2w + s on 2u's list
+                w = next((key >> 1 for key in cover[2 * u] if key in closing), None)
+                if w is not None:
+                    floor = min(floor, u, w)
+        self.added.clear()
+        self.tri_from = floor
+        return floor
+
+
+def _walk_to_goal(parents: Dict[int, int], start: int, last: int) -> List[Tuple[int, int, int]]:
+    """The walk along ``parents`` from ``start`` to ``last``, then to ``start + 1``."""
+    edges = [(last >> 1, start >> 1, (last ^ start ^ 1) & 1)]
+    while last != start:
+        key = parents[last]
+        edges.append((key >> 1, last >> 1, (key ^ last) & 1))
+        last = key
+    edges.reverse()
+    return edges
 
 
 def _bfs_odd_walk(cover: Cover, source: int) -> Optional[List[Tuple[int, int, int]]]:
     """Shortest odd closed walk through ``source`` as (u, v, parity) edges.
 
-    Breadth-first search on the double cover from key ``2*source`` to
+    Breadth-first search on the double cover from key ``2*source`` towards
     ``2*source + 1``, one level at a time: each level is a list of keys in
     discovery order and each key's neighbours are scanned in ascending
-    order.  It returns at the first discovery of the goal, so among the
-    shortest walks it returns the one that this order reaches first.  A
-    source on no edge has no walk.
+    order.  Among the shortest walks it returns the one that this order
+    reaches first: a key links to the goal when its twin is on the start's
+    list (see :func:`_odd_walk_length`), so from depth 2 on the first such
+    key found is the goal's parent.  At depth 1 they are opposite pairs, and
+    the level's first is taken.  A source on no edge has no walk.
     """
-    start, goal = 2 * source, 2 * source + 1
-    parents = {start: start}
-    level = [start] if start in cover else []
+    start = 2 * source
+    level = cover.get(start)
+    if level is None:
+        return None
+    ends = {key ^ 1 for key in level}  # the keys that link to the goal
+    parents = dict.fromkeys(level, start)
+    parents[start] = start
+    for key in level:
+        if key in ends:
+            return _walk_to_goal(parents, start, key)
     while level:
         following = []
         for key in level:
@@ -116,14 +163,8 @@ def _bfs_odd_walk(cover: Cover, source: int) -> Optional[List[Tuple[int, int, in
                 if nxt in parents:
                     continue
                 parents[nxt] = key
-                if nxt == goal:
-                    edges = []
-                    while nxt != start:
-                        key = parents[nxt]
-                        edges.append((key >> 1, nxt >> 1, (key ^ nxt) & 1))
-                        nxt = key
-                    edges.reverse()
-                    return edges
+                if nxt in ends:
+                    return _walk_to_goal(parents, start, nxt)
                 following.append(nxt)
         level = following
     return None
@@ -206,13 +247,14 @@ def _triangle(
     return None
 
 
-def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[int, int, int]]]:
+def _shortest_odd_walk(index: _CycleIndex) -> Optional[List[Tuple[int, int, int]]]:
     """The walk of the least source among those with the shortest odd closed
     walk, as :func:`_bfs_odd_walk` builds it, or None.
 
     Expects no opposite-parity pair, so no walk is shorter than the three
-    edges that :func:`_triangle` finds.  Failing that, each length search
-    reads no node below its source, by the least-vertex rule of
+    edges that :func:`_triangle` finds from the index's triangle floor on;
+    its winner, or past every source, is the next floor.  Failing it, each
+    length search reads no node below its source, by the least-vertex rule of
     :func:`_triangle`: a shortest odd cycle is found from its least node,
     the first source on it, and no source finds a shorter one.  Each search
     only has to beat the best so far, and the scan ends at the first
@@ -221,7 +263,9 @@ def _shortest_odd_walk(cover: Cover, sources: List[int]) -> Optional[List[Tuple[
     smaller one would have cleared it, so it read the whole component, and
     no source there has a walk.
     """
-    triangle = _triangle(cover, sources, 1)
+    cover, sources = index.cover, index.sources
+    triangle = _triangle(cover, sources[bisect_left(sources, index.triangle_floor()):], 1)
+    index.tri_from = triangle[0][0] if triangle else sources[-1] + 1 if sources else 0
     if triangle is not None:
         return triangle
     best = winner = None
@@ -259,13 +303,13 @@ def _next_cycle(
     if compact:
         best = _bfs_odd_walk(cover, CONSTANT_NODE)
     else:
-        best = _shortest_odd_walk(cover, [key >> 1 for key in sorted(cover) if not key & 1])
+        best = _shortest_odd_walk(index)
     if best is not None:
         cycle = [_edge_constraint(u, v, p) for u, v, p in best]
         if len(set(cycle)) == len(cycle):  # globally shortest odd walks are simple
             return cycle, "unit-chain" if compact else "odd"
     if compact and triangle_quota > 0:
-        sources = [key >> 1 for key in sorted(cover) if not key & 1 and key >> 1 != CONSTANT_NODE]
+        sources = [s for s in index.sources if s != CONSTANT_NODE]
         triangle = _triangle(cover, sources, 0)
         if triangle is not None:
             return [_edge_constraint(u, v, p) for u, v, p in triangle], "triangle"
@@ -358,22 +402,22 @@ def _contract_cycle(
     compact: bool,
     alloc: VarAllocator,
     steps: List[ProofStep],
+    fraction: Callable[[int], Fraction],
 ) -> int:
-    units, scale = state.entry_units, state.scale
+    units, first = state.entry_units, len(steps)
     acc = cycle[0]
     for edge in cycle[1:-1]:
         rule, premises = _combine(acc, edge, compact)
-        weight = Fraction(min(units[premises[0]], units[premises[1]]), scale)
+        weight = fraction(min(units[premises[0]], units[premises[1]]))
         _, step = apply_rule(state, rule, premises, weight, alloc)
-        index.follow(step, units)
         steps.append(step)
         acc = step.conclusions[0][0]
     closing = cycle[-1]
     premises = (acc, closing) if acc.parity == 0 else (closing, acc)
-    weight = Fraction(min(units[premises[0]], units[premises[1]]), scale)
+    weight = fraction(min(units[premises[0]], units[premises[1]]))
     _, step = apply_rule(state, "contra", premises, weight)
-    index.follow(step, units)
     steps.append(step)
+    index.follow(steps[first:], units)
     return len(cycle) - 1
 
 
@@ -408,6 +452,7 @@ def saturate(
     provenance = problem_digest(source) if isinstance(source, X2XProblem) else ""
     state = make_state(source)
     index = _CycleIndex(state.entry_units)
+    fraction = _unit_fractions(state.scale)
     alloc = VarAllocator(max(state.var_count, max(state.seen_vars, default=0)) + 1)
     steps: List[ProofStep] = []
     round_stats: List[Tuple[int, int]] = []
@@ -419,12 +464,12 @@ def saturate(
     while True:
         rounds += 1
         if rounds > 1:
+            first = len(steps)
             for cl in sorted(state.residue_units):
                 if cl.k in (2, 3):
-                    weight = Fraction(state.residue_units[cl], state.scale)
-                    _, step = apply_rule(state, f"xlate{cl.k}", (cl,), weight, alloc)
-                    index.follow(step, state.entry_units)
-                    steps.append(step)
+                    weight = fraction(state.residue_units[cl])
+                    steps.append(apply_rule(state, f"xlate{cl.k}", (cl,), weight, alloc)[1])
+            index.follow(steps[first:], state.entry_units)
         budget = len(state.entry_units)
         used = 0
         quota = COMPACT_TRIANGLE_QUOTA
@@ -437,7 +482,7 @@ def saturate(
                 quota -= 1
             if used + len(cycle) - 1 > budget:
                 break
-            used += _contract_cycle(state, index, cycle, mode == "compact", alloc, steps)
+            used += _contract_cycle(state, index, cycle, mode == "compact", alloc, steps, fraction)
         round_stats.append((budget, used))
         bound_units = state.floor_units - state.offset_units
         if kept is not None and bound_units <= kept_units:

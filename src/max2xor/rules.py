@@ -43,6 +43,7 @@ from .core import (
     ZERO,
     _normalize_units,
     _scaled,
+    _unit_fractions,
     check_weight,
 )
 
@@ -55,14 +56,13 @@ class PatternError(Max2XorError):
     """Premises or conclusions do not fit the named rule."""
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One replayable rule application.
 
     ``premises`` are consumed at ``weight`` each; conclusions and residues
     are added at ``weight`` times their multiplier.  ``offset`` is the exact
     amount by which the conclusions over-count the unsatisfied weight (0 for
-    the plain rules).
+    the plain rules).  Change a copy with ``step._replace(...)``.
     """
 
     rule: str
@@ -148,21 +148,28 @@ class Rule(NamedTuple):
     fresh: bool  # whether a template names y
 
 
+# The rows' one Fraction object per multiplier value.  ``parse_proof`` maps
+# the multipliers it reads to these, so the checker compares them by identity.
+MULTIPLIERS: Dict[Fraction, Fraction] = {}
+
+
 def _rule(form: str, premise, conclusions, residues, offset) -> Rule:
     position = {role: i for i, role in enumerate(_ROLES[form].split())}
+    templates = conclusions + residues
+    shared = {m: MULTIPLIERS.setdefault(Fraction(m), Fraction(m)) for *_, m in templates}
     return Rule(
         form,
         premise,
         tuple(
-            (tuple(position[r] for r in roles.split()), parity, Fraction(m))
+            (tuple(position[r] for r in roles.split()), parity, shared[m])
             for roles, parity, m in conclusions
         ),
         tuple(
-            (tuple((position[r[-1]], -1 if r[0] == "-" else 1) for r in roles.split()), Fraction(m))
+            (tuple((position[r[-1]], -1 if r[0] == "-" else 1) for r in roles.split()), shared[m])
             for roles, m in residues
         ),
         Fraction(offset),
-        any("y" in template[0].split() for template in conclusions + residues),
+        any("y" in template[0].split() for template in templates),
     )
 
 
@@ -398,11 +405,12 @@ def _summarize(
     provenance: str = "",
 ) -> ProofSummary:
     scale, residues = state.scale, state.residue_units
+    fraction = _unit_fractions(scale)
     var_count = max(state.var_count, max(state.seen_vars, default=0))
     return ProofSummary(
         bound_m=Fraction(state.floor_units - state.offset_units, scale),
         residual=_normalize_units(state.entry_units.items(), scale, var_count),
-        residue_clauses=tuple((cl, Fraction(residues[cl], scale)) for cl in sorted(residues)),
+        residue_clauses=tuple((cl, fraction(residues[cl])) for cl in sorted(residues)),
         rounds=rounds,
         steps=steps,
         floor_total=Fraction(state.floor_units, scale),

@@ -31,7 +31,6 @@ Formats (ASCII, newline-terminated lines):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -50,12 +49,10 @@ from .core import (
     normalize,
     parse_rational,
 )
-from .rules import RULES, ProofStep
+from .rules import MULTIPLIERS, RULES, ProofStep
 
 # ---------------------------------------------------------------------------
 # Shared readers
-
-_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def _records(text: str, comment_prefixes: Tuple[str, ...]) -> Iterator[Tuple[int, str]]:
@@ -68,7 +65,7 @@ def _records(text: str, comment_prefixes: Tuple[str, ...]) -> Iterator[Tuple[int
 
 def _int(token: str, what: str, line_no: int) -> int:
     """An ASCII ``-?[0-9]+`` token, or a ParseError naming ``what`` and the line."""
-    if _INT_TOKEN.fullmatch(token) is None:
+    if not (token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit())):
         raise ParseError(f"bad {what} {token!r}", line_no)
     return int(token)
 
@@ -87,6 +84,19 @@ def _positive(token: str, what: str, line_no: int, read=_rational):
     if value.numerator <= 0:  # the sign of a Fraction, without its slower comparison
         raise ParseError(f"{what} must be positive, got {token}", line_no)
     return value
+
+
+def _positive_memo():
+    """:func:`_positive` for one parse call, storing each token read without error."""
+    weights: Dict[str, Fraction] = {}
+
+    def positive(token: str, what: str, line_no: int) -> Fraction:
+        value = weights.get(token)
+        if value is None:
+            value = weights[token] = _positive(token, what, line_no)
+        return value
+
+    return positive
 
 
 def _header(tokens: List[str], line_no: int, seen: bool, kinds: tuple, counts: tuple):
@@ -199,7 +209,7 @@ def emit_x2x(problem: X2XProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entry(tokens: List[str], line_no: int, positive=_positive) -> Tuple[XorConstraint, Fraction]:
+def _entry(tokens: List[str], line_no: int, positive) -> Tuple[XorConstraint, Fraction]:
     """Read ``<num>/<den> [<v1> [<v2>]] = <parity>``, the weight by ``positive``."""
     if len(tokens) < 2 or tokens[-2] != "=":
         raise ParseError("entry line must end with '= <parity>'", line_no)
@@ -219,6 +229,7 @@ def parse_x2x(text: str) -> X2XProblem:
     floor = ZERO
     saw_floor = False
     raw: List[Tuple[XorConstraint, Fraction]] = []
+    positive = _positive_memo()
 
     for line_no, line in _records(text, ("c",)):
         tokens = line.split()
@@ -239,7 +250,7 @@ def parse_x2x(text: str) -> X2XProblem:
                 raise ParseError("floor must be non-negative", line_no)
             saw_floor = True
             continue
-        constraint, weight = _entry(tokens, line_no)
+        constraint, weight = _entry(tokens, line_no, positive)
         if constraint.vars and constraint.vars[-1] > var_count:
             raise ParseError(
                 f"variable {constraint.vars[-1]} exceeds declared count {var_count}", line_no
@@ -270,11 +281,12 @@ class CutGraph:
     def add_edge(self, u: int, v: int, weight: Fraction) -> None:
         if u == v:
             raise Max2XorError(f"self-loop on node {u}")
-        weight = Fraction(weight)
-        if weight <= 0:
+        if type(weight) is not Fraction:
+            weight = Fraction(weight)
+        if weight.numerator <= 0:  # the sign of a Fraction, without its slower comparison
             raise InvalidWeightError(f"edge weight must be positive, got {weight}")
         key = (u, v) if u < v else (v, u)
-        self.edges[key] = self.edges.get(key, ZERO) + weight
+        self.edges[key] = self.edges[key] + weight if key in self.edges else weight
 
     def total_weight(self) -> Fraction:
         return sum(self.edges.values(), ZERO)
@@ -385,16 +397,10 @@ def emit_proof(steps) -> str:
 
 
 def parse_proof(text: str):
-    # Within this call, each weight token read and each (weight, applied
-    # weight) token pair's multiplier; only successful reads are stored.
-    weights: Dict[str, Fraction] = {}
+    # Within this call, each weight token read and each (weight, applied weight)
+    # token pair's multiplier, the rows' own object if any; only successful reads.
+    positive = _positive_memo()
     multipliers: Dict[Tuple[str, str], Fraction] = {}
-
-    def positive(token: str, what: str, line_no: int) -> Fraction:
-        value = weights.get(token)
-        if value is None:
-            value = weights[token] = _positive(token, what, line_no)
-        return value
 
     steps = []
     for line_no, line in _records(text, ("c",)):
@@ -437,7 +443,8 @@ def parse_proof(text: str):
                 if index > 0:
                     pair = tokens[0], applied
                     if pair not in multipliers:
-                        multipliers[pair] = w / weight
+                        m = w / weight
+                        multipliers[pair] = MULTIPLIERS.get(m, m)
                     items.append((item, multipliers[pair]))
                 elif tokens[0] == applied or w == weight:
                     items.append(item)

@@ -8,7 +8,6 @@ the stated time budgets are asserted.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
 from max2xor.core import XorConstraint, clause, normalize, xor
@@ -285,18 +284,18 @@ def _random_parity_problem(seed):
 
 
 def _tampered_variants(step):
-    variants = [replace(step, weight=step.weight * 2)]
+    variants = [step._replace(weight=step.weight * 2)]
     head, mult = step.conclusions[0]
     if head.vars:
         flipped = XorConstraint(head.vars, head.parity ^ 1)
-        variants.append(replace(step, conclusions=((flipped, mult),) + step.conclusions[1:]))
+        variants.append(step._replace(conclusions=((flipped, mult),) + step.conclusions[1:]))
     if step.residues:
         cl, rmult = step.residues[0]
-        variants.append(replace(step, residues=((cl, rmult + 1),) + step.residues[1:]))
+        variants.append(step._replace(residues=((cl, rmult + 1),) + step.residues[1:]))
     premise = step.premises[0]
     if isinstance(premise, XorConstraint):
         flipped = XorConstraint(premise.vars, premise.parity ^ 1)
-        variants.append(replace(step, premises=(flipped,) + step.premises[1:]))
+        variants.append(step._replace(premises=(flipped,) + step.premises[1:]))
     return variants
 
 

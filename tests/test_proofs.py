@@ -3,7 +3,7 @@
 import ast
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -35,6 +35,7 @@ from max2xor.oracle import brute_opt_cost, brute_opt_cost_items, verify_gadget
 from max2xor.prover import (
     MODES,
     _CycleIndex,
+    _bfs_odd_walk,
     _next_cycle,
     _odd_walk_length,
     _triangle,
@@ -255,7 +256,7 @@ def test_rules_without_fresh_variable_reject_one(rule, premises):
         build_step(rule, premises, F(1), fresh_var=5)
     if rule == "contra" or rule.startswith("unit"):
         # a logged step that carries one fails at its own index
-        step = replace(build_step(rule, premises, F(1)), fresh_var=5)
+        step = build_step(rule, premises, F(1))._replace(fresh_var=5)
         items = [(xor([3], 0), F(1))] + [(p, F(1)) for p in premises]
         verdict = check_proof(items, [step], None)
         assert not verdict.accepted
@@ -653,6 +654,63 @@ def test_compact_triangle_avoids_the_constant_node():
     )
 
 
+def _full_depth_bfs_odd_walk(cover, source):
+    """The walk search that expands each level in full until it discovers
+    the goal itself; the engine's search stops at the goal's parent."""
+    start, goal = 2 * source, 2 * source + 1
+    parents = {start: start}
+    level = [start] if start in cover else []
+    while level:
+        following = []
+        for key in level:
+            for nxt in cover[key]:
+                if nxt in parents:
+                    continue
+                parents[nxt] = key
+                if nxt == goal:
+                    edges = []
+                    while nxt != start:
+                        key = parents[nxt]
+                        edges.append((key >> 1, nxt >> 1, (key ^ nxt) & 1))
+                        nxt = key
+                    edges.reverse()
+                    return edges
+                following.append(nxt)
+        level = following
+    return None
+
+
+def test_walk_stopped_at_the_goal_parent_is_the_full_depth_walk():
+    # every source, including one on no edge, of covers with and without
+    # opposite pairs; a two-edge walk is an opposite pair at depth 1
+    lengths = Counter()
+    entry_sets = [*_random_entry_sets(41, 400), *_sparse_entry_sets(43, 300)]
+    for entries in entry_sets:
+        cover = _CycleIndex(entries).cover
+        for s in range(max(key >> 1 for key in cover) + 2) if cover else [1]:
+            walk = _bfs_odd_walk(cover, s)
+            assert walk == _full_depth_bfs_odd_walk(cover, s), (sorted(entries), s)
+            lengths[None if walk is None else min(len(walk), 8)] += 1
+    assert set(lengths) == {None, 2, 3, 4, 5, 6, 7, 8}, lengths
+    assert sum(lengths.values()) > 10000
+
+
+def test_an_edge_added_below_the_last_triangle_is_found():
+    # the pass finds {4, 5, 6} and raises the floor to 4; an edge then
+    # closes the odd triangle {1, 2, 3} below it, and the next lookup folds
+    # that edge in and finds it
+    entries = {xor(vs, p): F(1) for vs, p in [([4, 5], 1), ([5, 6], 1), ([4, 6], 1),
+                                              ([1, 2], 0), ([2, 3], 0)]}
+    index = _CycleIndex(entries)
+    assert _next_cycle(index) == ([xor([4, 5], 1), xor([5, 6], 1), xor([4, 6], 1)], "odd")
+    assert index.tri_from == 4
+    entries[xor([1, 3], 1)] = F(1)
+    index.add(xor([1, 3], 1))
+    lower = ([xor([1, 2], 0), xor([2, 3], 0), xor([1, 3], 1)], "odd")
+    assert _next_cycle(index) == lower == _next_cycle(_CycleIndex(entries))
+    assert index.tri_from == 1
+
+
 # ---------------------------------------------------------------------------
 # Saturation
 
@@ -910,6 +968,12 @@ PROOF_LOG_DIGESTS = {
     ((8, 5, 18, 3), "discard"): "24cca50426fb71bf",
     ((8, 5, 18, 3), "retranslate"): "bcf3a4e0d916a8ef",
     ((8, 5, 18, 3), "compact"): "164ad65ada0b9b6f",
+    ((11, 12, 51, 3), "discard"): "539aca6d0027db7e",
+    ((11, 12, 51, 3), "retranslate"): "539aca6d0027db7e",
+    ((11, 12, 51, 3), "compact"): "5083e0add02b3477",
+    ((12, 13, 55, 3), "discard"): "c2727a6b219c5090",
+    ((12, 13, 55, 3), "retranslate"): "c2727a6b219c5090",
+    ((12, 13, 55, 3), "compact"): "1b37cb3ce474ba9e",
 }
 
 
@@ -932,9 +996,39 @@ def test_saturate_proof_logs_are_unchanged(case, mode):
     index = _CycleIndex(state.entry_units)
     for step in steps:
         _replay_step(state, step)
-        index.follow(step, state.entry_units)
+        index.follow([step], state.entry_units)
         _assert_index_matches(index, state)
     assert F(state.floor_units - state.offset_units, state.scale) == summary.bound_m
+
+
+def test_every_lookup_equals_one_on_a_fresh_index(monkeypatch):
+    # the index kept across a run, with its triangle floor, equals one built
+    # from the state's entries, and so does what a lookup on each returns
+    states, kinds = [], Counter()
+    make, lookup = prover.make_state, prover._next_cycle
+
+    def capture(source):
+        states.append(make(source))
+        return states[-1]
+
+    def checked(index, compact=False, triangle_quota=0):
+        _assert_index_matches(index, states[-1])
+        fresh = _CycleIndex(states[-1].entry_units)
+        found = lookup(index, compact, triangle_quota)
+        assert found == lookup(fresh, compact, triangle_quota)
+        kinds[None if found is None else found[1]] += 1
+        return found
+
+    monkeypatch.setattr(prover, "make_state", capture)
+    monkeypatch.setattr(prover, "_next_cycle", checked)
+    cases = [case for case, mode in PROOF_LOG_DIGESTS if mode == "discard"]
+    cases += [(60 + n, n, round(4.26 * n), 3) for n in range(7, 13)]  # sat3-sized
+    for case in cases:
+        problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
+        for mode in MODES:
+            saturate(problem, mode=mode)
+    assert set(kinds) == {None, "pair", "odd", "unit-chain", "triangle"}, kinds
+    assert sum(kinds.values()) > 1000, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1068,7 @@ def test_checker_rejects_tampered_residue_weight():
     summary, steps = saturate(items)
     chain_index = next(i for i, s in enumerate(steps) if s.rule.startswith("chain"))
     step = steps[chain_index]
-    tampered = replace(step, residues=((step.residues[0][0], F(1)), step.residues[1]))
+    tampered = step._replace(residues=((step.residues[0][0], F(1)), step.residues[1]))
     broken = list(steps)
     broken[chain_index] = tampered
     verdict = check_proof(items, broken, None)
@@ -992,10 +1086,10 @@ def test_checker_rejects_tampered_fields_everywhere():
         summary, steps = saturate(problem, mode=mode, max_rounds=2)
         for index, step in enumerate(steps):
             mutations = [
-                replace(step, weight=step.weight * 2),
-                replace(step, weight=step.weight / 2),
-                replace(step, offset=step.offset + 1),
-                replace(step, fresh_var=1),  # variable 1 occurs in every input
+                step._replace(weight=step.weight * 2),
+                step._replace(weight=step.weight / 2),
+                step._replace(offset=step.offset + 1),
+                step._replace(fresh_var=1),  # variable 1 occurs in every input
             ]
             if step.fresh_var is not None:
                 # the canonical step on an input variable outside its premises,
@@ -1012,17 +1106,17 @@ def test_checker_rejects_tampered_fields_everywhere():
             if constraint.vars:
                 flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
                 mutations.append(
-                    replace(step, conclusions=((flipped, mult),) + step.conclusions[1:])
+                    step._replace(conclusions=((flipped, mult),) + step.conclusions[1:])
                 )
             premise = step.premises[0]
             if isinstance(premise, XorConstraint):
                 flipped_premise = XorConstraint(premise.vars, premise.parity ^ 1)
                 mutations.append(
-                    replace(step, premises=(flipped_premise,) + step.premises[1:])
+                    step._replace(premises=(flipped_premise,) + step.premises[1:])
                 )
             if step.residues:
                 cl, mult = step.residues[0]
-                mutations.append(replace(step, residues=((cl, F(1)),) + step.residues[1:]))
+                mutations.append(step._replace(residues=((cl, F(1)),) + step.residues[1:]))
             for mutant in mutations:
                 broken = list(steps)
                 broken[index] = mutant
@@ -1059,14 +1153,14 @@ def _one_step_mutants(steps):
         step = steps[index]
         constraint, mult = step.conclusions[0]
         flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
-        yield index, replace(step, conclusions=((flipped, mult),) + step.conclusions[1:])
-        yield index, replace(step, weight=step.weight * 2)
+        yield index, step._replace(conclusions=((flipped, mult),) + step.conclusions[1:])
+        yield index, step._replace(weight=step.weight * 2)
         if len(step.premises) == 2:
             p1, p2 = step.premises
             # swapping two premises of one arity and parity gives another
             # sound instance of the same rule, so only the others are mutants
             if (p1.arity, p1.parity) != (p2.arity, p2.parity):
-                yield index, replace(step, premises=(p2, p1))
+                yield index, step._replace(premises=(p2, p1))
         if step.fresh_var is not None:
             premise_vars = set()
             for p in step.premises:
@@ -1077,7 +1171,7 @@ def _one_step_mutants(steps):
             reusable = [v for v in reusable if v not in premise_vars]
             if reusable:
                 yield index, build_step(step.rule, step.premises, step.weight, reusable[-1])
-        yield index, replace(step, offset=step.offset + 1)
+        yield index, step._replace(offset=step.offset + 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1206,9 +1300,9 @@ def test_truth_table_matches_pure_fraction_enumeration():
             constraint, mult = step.conclusions[0]
             flipped = xor(constraint.vars, constraint.parity ^ 1)
             mutants = [
-                replace(step, conclusions=((flipped, mult),) + step.conclusions[1:]),
-                replace(step, offset=step.offset + H),
-                replace(step, conclusions=((constraint, 2 * mult),) + step.conclusions[1:]),
+                step._replace(conclusions=((flipped, mult),) + step.conclusions[1:]),
+                step._replace(offset=step.offset + H),
+                step._replace(conclusions=((constraint, 2 * mult),) + step.conclusions[1:]),
             ]
             for mutant in mutants:
                 reason = checker._truth_table_reason(mutant)
@@ -1285,7 +1379,7 @@ def _import_closure(root):
 
 def test_checker_imports_none_of_the_prover():
     closure = _import_closure("checker")
-    assert "rules" in closure and "prover" not in closure, sorted(closure)
+    assert closure == {"core", "oracle", "rules"}, sorted(closure)
     assert _package_imports("rules") == {"core"}
     # the walk does follow imports into the prover from the command line
     assert "prover" in _import_closure("cli")
@@ -1326,7 +1420,7 @@ def test_bound_to_original_provenance_check():
 
 def test_checker_replays_the_canonical_step():
     items = [(xor([1, 2], 0), H), (xor([1, 2], 1), F(2, 3))]
-    step = replace(build_step("contra", (xor([1, 2], 0), xor([1, 2], 1)), H), weight=0.5)
+    step = build_step("contra", (xor([1, 2], 0), xor([1, 2], 1)), H)._replace(weight=0.5)
     verdict = check_proof(items, [step])
     assert verdict.accepted
     assert type(verdict.summary.bound_m) is Fraction and verdict.summary.bound_m == H
