@@ -1,17 +1,18 @@
 """The independent proof checker and the link back to the source instance.
 
-It trusts the rules and state machine of :mod:`max2xor.rules` and the
-enumeration kernel of :mod:`max2xor.oracle`, and imports none of the prover.
+It trusts only :mod:`max2xor.core` and the rules and state machine of
+:mod:`max2xor.rules`: it imports none of the prover and not the oracles, so
+checking a proof never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
-from .core import Max2XorError, X2XProblem, ZERO, format_rational
-from .oracle import _collect_vars, _index_to_assignment, unsat_weight_profile
+from .core import Max2XorError, OrClause, X2XProblem, ZERO, format_rational
 from .rules import (
     RULES,
     PatternError,
@@ -50,31 +51,26 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
 
     Without a fresh variable the conclusions must over-count the premises by
     exactly ``offset`` pointwise; with one, by exactly ``offset`` at the best
-    fresh value (so by at least ``offset`` at the other).  The deltas come
-    from the oracle's kernel, with the premises at ``-weight`` and the fresh
-    variable last, so rows ``2r`` and ``2r + 1`` are its two values at base
-    assignment r, in ``itertools.product`` order.
+    fresh value (so by at least ``offset`` at the other).  A step spans at
+    most four variables, so its table has at most 16 rows, each summed in
+    exact Fractions with the premises at ``-weight``; the assignments of the
+    variables other than the fresh one come in ``itertools.product`` order.
     """
     items = [(p, -step.weight) for p in step.premises]
     items += [(c, step.weight * m) for c, m in step.conclusions + step.residues]
-    fresh = step.fresh_var
-    base = [v for v in _collect_vars(items) if v != fresh]
-    deltas = unsat_weight_profile(items, base + ([] if fresh is None else [fresh]))
-    if fresh is None:
-        for row, delta in enumerate(deltas):
-            if delta != step.offset:
-                return (
-                    f"unsatisfied weight changes by {delta} instead of {step.offset} "
-                    f"at {_index_to_assignment(row, base)}"
-                )
-        return None
-    for row in range(len(deltas) // 2):
-        pair = deltas[2 * row : 2 * row + 2]
-        if min(pair) != step.offset:
-            return (
-                f"fresh-variable deltas {pair} violate offset {step.offset} "
-                f"at {_index_to_assignment(row, base)}"
-            )
+    fresh, offset = step.fresh_var, step.offset
+    variables = set()
+    for c, _ in items:
+        variables.update(c.variables() if isinstance(c, OrClause) else c.vars)
+    base = sorted(variables - {fresh})
+    for values in product((0, 1), repeat=len(base)):
+        assignment = dict(zip(base, values))
+        extended = [assignment] if fresh is None else [{**assignment, fresh: y} for y in (0, 1)]
+        deltas = [sum((w for c, w in items if not c.satisfied_by(a)), ZERO) for a in extended]
+        if fresh is None and deltas[0] != offset:
+            return f"unsatisfied weight changes by {deltas[0]} instead of {offset} at {assignment}"
+        if fresh is not None and min(deltas) != offset:
+            return f"fresh-variable deltas {deltas} violate offset {offset} at {assignment}"
     return None
 
 
@@ -141,9 +137,8 @@ def check_proof(
     A truth table runs once per step shape in the process: the rule's row,
     plus the literal signs for a clause premise (:func:`_step_shape`), so
     the process runs at most 23 tables.
-    Tables run on the oracle's enumeration kernel through
-    :func:`~max2xor.oracle.unsat_weight_profile`; the checker imports none
-    of the prover.
+    Each table sums exact Fractions over at most 16 assignments; the checker
+    imports none of the prover and not the oracles' numpy kernel.
     """
     stats = {"truth_tables": 0, "shape_hits": 0}
     state = make_state(source)

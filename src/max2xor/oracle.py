@@ -4,8 +4,11 @@ Two oracles: exact optimum / cost of a weighted constraint multiset, and
 certification of claimed translation parameters per the (alpha, beta)
 definition by exhaustive search over auxiliary-variable extensions.
 
-Both run on one kernel, ``_unsat_chunks``, which enumerates assignments in
-chunks of ``2**_CHUNK_BITS`` and yields each chunk's unsatisfied weight:
+Both run on one kernel, ``_unsat_chunks``, as does ``unsat_weight_profile``;
+the proof checker tables its own steps and imports none of this module.  The
+functions that build arrays import numpy on their first call, so importing
+``max2xor`` does not load it.  The kernel enumerates assignments in chunks of
+``2**_CHUNK_BITS`` and yields each chunk's unsatisfied weight:
 
 * weights are multiplied by the lcm of their denominators, so every sum and
   comparison is exact integer arithmetic;
@@ -46,8 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .core import (
     Max2XorError,
@@ -104,6 +105,7 @@ def _guard(nvars: int, max_vars: int) -> None:
 
 def _dtype_for(bound: int):
     """Narrowest accumulator holding every partial sum up to ``bound`` in size."""
+    import numpy as np
     if bound < 2**31:
         return np.int32
     return np.int64 if bound < 2**62 else object
@@ -116,6 +118,7 @@ def _unsat_chunks(items: Sequence[WeightedItem], scaled: Sequence[int], order: S
     ``start + i``, whose bits, most significant first, are the values of the
     variables in ``order``.
     """
+    import numpy as np
     n = len(order)
     bits = min(n, _CHUNK_BITS)
     size = 1 << bits
@@ -179,6 +182,7 @@ def _row_minima(chunks, row_bits: int, rows: int) -> Tuple[np.ndarray, np.ndarra
     Row r is the run of ``2**row_bits`` consecutive assignment indices from
     ``r << row_bits``; a chunk holds whole rows or a piece of one row.
     """
+    import numpy as np
     least = argmin = None
     mask = (1 << row_bits) - 1
     for start, unsat in chunks:
@@ -337,6 +341,7 @@ def _buckets(item_aux: Sequence[Tuple[int, ...]], aux_order: Sequence[int]):
 def _eliminate(items, scaled, item_aux, src_order, plan) -> Tuple[np.ndarray, int]:
     """Least scaled unsatisfied weight of each source row, the auxiliaries
     minimised out in ``plan`` order, and the kernel cells enumerated."""
+    import numpy as np
     rows = 1 << len(src_order)
     dtype = _dtype_for(sum(abs(w) for w in scaled))
     step = {a: j for j, (a, _) in enumerate(plan)}
@@ -370,6 +375,7 @@ def verify_gadget(
     beta must equal the total translation weight.  Returns the first failing
     source assignment with the achieved maximum otherwise.
     """
+    import numpy as np
     alpha, beta = Fraction(claimed.alpha), Fraction(claimed.beta)
     weights, scale, scaled = _scaled(translation, alpha)
     total = sum(weights, ZERO)

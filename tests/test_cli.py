@@ -342,6 +342,56 @@ def test_a_billion_declared_variables_fit_in_a_gibibyte(tmp_path):
     assert outputs[1] == "ACCEPTED steps=2 m=1/1\n"
 
 
+NUMPY_FREE_PIPELINE = """
+import io, sys
+from pathlib import Path
+from max2xor import (GadgetParams, binary_gadget, bound_to_original, brute_opt_cost,
+                     check_proof, checker, clause, cli, compile_maxsat, to_maxcut, verify_gadget, xor)
+from max2xor.prover import MODES, saturate
+from max2xor.textio import emit_proof, emit_x2x, parse_cnf, parse_proof, parse_x2x
+
+tmp = Path(sys.argv[1])
+report = compile_maxsat(parse_cnf((tmp / "small.cnf").read_text()))
+problem = parse_x2x(emit_x2x(report.problem))
+for mode in MODES:
+    summary, steps = saturate(problem, mode=mode)
+    steps = parse_proof(emit_proof(steps))
+    assert check_proof(problem, steps, summary).accepted, mode
+    assert bound_to_original(summary, report).message == "UNKNOWN lb=0/1"
+# one altered step: its truth table runs and fails, and the checker rejects it
+constraint, mult = steps[0].conclusions[0]
+flipped = (xor(constraint.vars, constraint.parity ^ 1), mult)
+altered = steps[0]._replace(conclusions=(flipped,) + steps[0].conclusions[1:])
+assert checker._truth_table_reason(altered).startswith("unsatisfied weight changes by ")
+assert not check_proof(problem, [altered] + steps[1:], summary).accepted
+assert to_maxcut(problem).node_count == 10
+x2x, proof = str(tmp / "small.x2x"), str(tmp / "small.x2xproof")
+for argv in (["compile", str(tmp / "small.cnf"), "-o", x2x], ["bound", x2x, "-o", proof],
+             ["check", x2x, proof], ["export-cut", x2x]):
+    assert cli.run(argv, out=io.StringIO()) == cli.EXIT_OK, argv
+assert "numpy" not in sys.modules
+# the oracles load numpy on their first call
+assert brute_opt_cost(problem).cost == report.shift == 7 / 2
+lits = clause(1, -2)
+assert verify_gadget(lits, binary_gadget(1, lits), GadgetParams(1, 3 / 2, 0)).certified
+assert "numpy" in sys.modules
+"""
+
+
+def test_the_proof_pipeline_never_loads_numpy(tmp_path):
+    # parse, compile, bound in every mode, round-trip, check (an altered step
+    # included), link back, export and the command line, in a fresh process
+    (tmp_path / "small.cnf").write_text(
+        "p cnf 4 6\n1 2 0\n-1 3 0\n-2 -3 0\n2 4 0\n-4 1 0\n-1 -2 -4 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PIPELINE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_shape_files_skip_comments_and_blank_lines(tmp_path):
     # shape i is the i-th line that is neither blank nor a comment
     shapes = tmp_path / "comb.txt"

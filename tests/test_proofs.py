@@ -1379,7 +1379,7 @@ def _import_closure(root):
 
 def test_checker_imports_none_of_the_prover():
     closure = _import_closure("checker")
-    assert closure == {"core", "oracle", "rules"}, sorted(closure)
+    assert closure == {"core", "rules"}, sorted(closure)
     assert _package_imports("rules") == {"core"}
     # the walk does follow imports into the prover from the command line
     assert "prover" in _import_closure("cli")
