@@ -7,9 +7,9 @@ clause weight.  Derived empty-clause weight m certifies that the problem's
 cost is at least m.
 
 All 13 rules are rows of one table, ``RULES``, and :func:`build_step` builds
-every step from its row, for the prover and the checker alike.  Compact
-rules replace the residue clauses of a chain step by three parity
-constraints on a fresh variable; retranslation steps (``xlate2``,
+every step from its row, for the prover, the proof reader and the checker
+alike.  Compact rules replace the residue clauses of a chain step by three
+parity constraints on a fresh variable; retranslation steps (``xlate2``,
 ``xlate3``) turn a residue clause back into parity constraints through its
 clause translation.  Both over-count the unsatisfied weight by an exact
 ``offset`` per step, which is subtracted from the usable bound.
@@ -148,24 +148,18 @@ class Rule(NamedTuple):
     fresh: bool  # whether a template names y
 
 
-# The rows' one Fraction object per multiplier value.  ``parse_proof`` maps
-# the multipliers it reads to these, so the checker compares them by identity.
-MULTIPLIERS: Dict[Fraction, Fraction] = {}
-
-
 def _rule(form: str, premise, conclusions, residues, offset) -> Rule:
     position = {role: i for i, role in enumerate(_ROLES[form].split())}
     templates = conclusions + residues
-    shared = {m: MULTIPLIERS.setdefault(Fraction(m), Fraction(m)) for *_, m in templates}
     return Rule(
         form,
         premise,
         tuple(
-            (tuple(position[r] for r in roles.split()), parity, shared[m])
+            (tuple(position[r] for r in roles.split()), parity, Fraction(m))
             for roles, parity, m in conclusions
         ),
         tuple(
-            (tuple((position[r[-1]], -1 if r[0] == "-" else 1) for r in roles.split()), shared[m])
+            (tuple((position[r[-1]], -1 if r[0] == "-" else 1) for r in roles.split()), Fraction(m))
             for roles, m in residues
         ),
         Fraction(offset),
@@ -177,7 +171,9 @@ def _rule(form: str, premise, conclusions, residues, offset) -> Rule:
 # double-weight residues; compact rules flip that conclusion and put three
 # pairs on y in place of the residues, overshooting by the applied weight.
 # The xlate rules are ``binary_gadget`` and ``sequential_gadget`` anchored
-# at the constant one.
+# at the constant one.  A row fixes a step's conclusions, residues and offset
+# from its premises, weight and fresh variable, so a proof log records only
+# those and ``textio.parse_proof`` rebuilds each step with :func:`build_step`.
 RULES: Dict[str, Rule] = {
     rule: _rule(*row)
     for rule, row in {

@@ -20,13 +20,15 @@ Formats (ASCII, newline-terminated lines):
 ``.x2xproof``
     One ``s`` line per step::
 
-        s <rule> w <num>/<den> [y <fresh>] [o <num>/<den>] | <premises> | <conclusions> | <residues>
+        s <rule> w <num>/<den> [y <fresh>] | <premises>
 
-    Premises and conclusions use the ``.x2x`` entry syntax prefixed by their
-    weight (``<num>/<den> [<v1> [<v2>]] = <parity>``; no variables encodes
-    the empty constraint).  Residues, and the clause premises of the
-    retranslation rules, are DIMACS literal lists ``<num>/<den> <lit>... 0``.
-    Items within a section are separated by ``;``.
+    Premises are ``.x2x`` entries without their weight (``[<v1> [<v2>]] =
+    <parity>``; no variables encodes the empty constraint), or for the
+    retranslation rules DIMACS clauses ``<lit>... 0``, separated by ``;``.
+    Each premise is consumed at the applied weight ``w``.  The line holds no
+    conclusions, residues or offset: the rule fixes them from the premises,
+    the weight and the fresh variable, so :func:`parse_proof` derives them
+    with :func:`~max2xor.rules.build_step`, as the checker does anyway.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .core import (
     normalize,
     parse_rational,
 )
-from .rules import MULTIPLIERS, RULES, ProofStep
+from .rules import RULES, PatternError, ProofStep, build_step
 
 # ---------------------------------------------------------------------------
 # Shared readers
@@ -195,9 +197,8 @@ def parse_cnf(text: str) -> WcnfInstance:
 # .x2x
 
 
-def _entry_line(constraint: XorConstraint, weight: str) -> str:
-    vars_part = "".join([f"{v} " for v in constraint.vars])
-    return f"{weight} {vars_part}= {constraint.parity}"
+def _constraint_text(constraint: XorConstraint) -> str:
+    return "".join([f"{v} " for v in constraint.vars]) + f"= {constraint.parity}"
 
 
 def emit_x2x(problem: X2XProblem) -> str:
@@ -205,23 +206,21 @@ def emit_x2x(problem: X2XProblem) -> str:
     if problem.floor != 0:
         lines.append(f"f {format_rational(problem.floor)}")
     for constraint, weight in problem.sorted_entries():
-        lines.append(_entry_line(constraint, format_rational(weight)))
+        lines.append(f"{format_rational(weight)} {_constraint_text(constraint)}")
     return "\n".join(lines) + "\n"
 
 
-def _entry(tokens: List[str], line_no: int, positive) -> Tuple[XorConstraint, Fraction]:
-    """Read ``<num>/<den> [<v1> [<v2>]] = <parity>``, the weight by ``positive``."""
+def _constraint(tokens: List[str], line_no: int) -> XorConstraint:
+    """Read ``[<v1> [<v2>]] = <parity>``."""
     if len(tokens) < 2 or tokens[-2] != "=":
         raise ParseError("entry line must end with '= <parity>'", line_no)
-    weight = positive(tokens[0], "weight", line_no)
     if tokens[-1] not in ("0", "1"):
         raise ParseError(f"parity must be 0 or 1, got {tokens[-1]!r}", line_no)
-    variables = [_int(t, "variable", line_no) for t in tokens[1:-2]]
+    variables = [_int(t, "variable", line_no) for t in tokens[:-2]]
     try:
-        constraint = XorConstraint(tuple(sorted(variables)), 1 if tokens[-1] == "1" else 0)
+        return XorConstraint(tuple(sorted(variables)), 1 if tokens[-1] == "1" else 0)
     except Max2XorError as exc:
         raise ParseError(str(exc), line_no) from exc
-    return constraint, weight
 
 
 def parse_x2x(text: str) -> X2XProblem:
@@ -250,7 +249,8 @@ def parse_x2x(text: str) -> X2XProblem:
                 raise ParseError("floor must be non-negative", line_no)
             saw_floor = True
             continue
-        constraint, weight = _entry(tokens, line_no, positive)
+        weight = positive(tokens[0], "weight", line_no)
+        constraint = _constraint(tokens[1:], line_no)
         if constraint.vars and constraint.vars[-1] > var_count:
             raise ParseError(
                 f"variable {constraint.vars[-1]} exceeds declared count {var_count}", line_no
@@ -368,92 +368,53 @@ def parse_maxcut(text: str) -> CutGraph:
 # .x2xproof
 
 
-def _item_text(item, weight: str) -> str:
-    """A proof item prefixed by its weight's text: a clause as ``<lit>... 0``, else an entry."""
-    if type(item) is not OrClause:
-        return _entry_line(item, weight)
-    return " ".join([weight, *map(str, item.lits), "0"])
+def _premise_text(premise) -> str:
+    if type(premise) is OrClause:
+        return " ".join([*map(str, premise.lits), "0"])
+    return _constraint_text(premise)
 
 
 def emit_proof(steps) -> str:
     lines = []
     for step in steps:
-        weight = format_rational(step.weight)
-        head = f"s {step.rule} w {weight}"
+        head = f"s {step.rule} w {format_rational(step.weight)}"
         if step.fresh_var is not None:
             head += f" y {step.fresh_var}"
-        if step.offset != 0:
-            head += f" o {format_rational(step.offset)}"
-        premises = "; ".join(_item_text(p, weight) for p in step.premises)
-        conclusions, residues = (
-            "; ".join(
-                _item_text(c, weight if m == 1 else format_rational(step.weight * m))
-                for c, m in items
-            )
-            for items in (step.conclusions, step.residues)
-        )
-        lines.append(f"{head} | {premises} | {conclusions} | {residues}".rstrip())
+        lines.append(f"{head} | {'; '.join(map(_premise_text, step.premises))}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_proof(text: str):
-    # Within this call, each weight token read and each (weight, applied weight)
-    # token pair's multiplier, the rows' own object if any; only successful reads.
-    positive = _positive_memo()
-    multipliers: Dict[Tuple[str, str], Fraction] = {}
+    """The steps of a proof log, each built by ``build_step`` from its line.
 
+    A line whose premises do not fit its rule gives the step without
+    conclusions, which ``check_proof`` rejects with ``build_step``'s reason.
+    """
+    positive = _positive_memo()  # each applied-weight token read once per call
     steps = []
     for line_no, line in _records(text, ("c",)):
         head, *parts = line.split("|")
-        if len(parts) != 3:
-            raise ParseError("step line needs 4 '|' separated sections", line_no)
+        if len(parts) != 1:
+            raise ParseError("step line needs one '|' between its head and its premises", line_no)
         tokens = head.split()
         if len(tokens) < 4 or tokens[0] != "s" or tokens[2] != "w":
             raise ParseError(f"bad step head {head.strip()!r}", line_no)
         rule = tokens[1]
         if rule not in RULES:
             raise ParseError(f"unknown rule id {rule!r}", line_no)
-        applied = tokens[3]
-        weight = positive(applied, "applied weight", line_no)
-        fresh_var, offset = None, ZERO
+        weight = positive(tokens[3], "applied weight", line_no)
+        fresh_var = None
         for i in range(4, len(tokens), 2):
-            key = tokens[i]
-            if key not in ("y", "o") or i + 1 == len(tokens):
-                raise ParseError(f"bad step head token {key!r}", line_no)
-            if key in tokens[4:i:2]:
-                raise ParseError(f"repeated step head token {key!r}", line_no)
-            if key == "y":
-                fresh_var = _int(tokens[i + 1], "fresh variable", line_no)
-            else:
-                offset = _rational(tokens[i + 1], "offset", line_no)
+            if tokens[i] != "y" or i + 1 == len(tokens):
+                raise ParseError(f"bad step head token {tokens[i]!r}", line_no)
+            if fresh_var is not None:
+                raise ParseError("repeated step head token 'y'", line_no)
+            fresh_var = _int(tokens[i + 1], "fresh variable", line_no)
 
-        # Premises, then conclusions and residues with their weight multipliers.
-        sections: List[list] = []
-        for index, part in enumerate(parts):
-            reads_clauses = index == 2 or (index == 0 and RULES[rule].form == "clause")
-            items = []
-            for tokens in map(str.split, part.split(";")):
-                if not tokens:
-                    continue
-                if reads_clauses:
-                    w = positive(tokens[0], "weight", line_no)
-                    item = _clause(tokens[1:], line_no)
-                else:
-                    item, w = _entry(tokens, line_no, positive)
-                if index > 0:
-                    pair = tokens[0], applied
-                    if pair not in multipliers:
-                        m = w / weight
-                        multipliers[pair] = MULTIPLIERS.get(m, m)
-                    items.append((item, multipliers[pair]))
-                elif tokens[0] == applied or w == weight:
-                    items.append(item)
-                else:
-                    raise ParseError(
-                        f"premise weight {w} differs from applied weight {weight}", line_no
-                    )
-            sections.append(items)
-        steps.append(
-            ProofStep(rule, weight, *map(tuple, sections), offset=offset, fresh_var=fresh_var)
-        )
+        read = _clause if RULES[rule].form == "clause" else _constraint
+        premises = tuple([read(t, line_no) for t in map(str.split, parts[0].split(";")) if t])
+        try:
+            steps.append(build_step(rule, premises, weight, fresh_var))
+        except PatternError:
+            steps.append(ProofStep(rule, weight, premises, (), fresh_var=fresh_var))
     return steps

@@ -11,8 +11,10 @@ from pathlib import Path
 
 from max2xor import cli
 from max2xor.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, EXIT_UNSAT, run
+from max2xor.checker import check_proof
 from max2xor.core import xor, normalize
 from max2xor.gadgets import GadgetParams, TreeShape, compile_maxsat
+from max2xor.rules import ProofStep
 from max2xor.textio import emit_x2x, parse_cnf, parse_x2x
 
 F = Fraction
@@ -130,20 +132,38 @@ def test_bound_verbose_prints_rounds_for_x2x_and_cnf(tmp_path):
     ]
 
 
-def test_check_rejects_corrupted_proof(tmp_path):
+TRIANGLE = normalize(
+    [(xor([1, 2], 1), F(1)), (xor([2, 3], 1), F(1)), (xor([1, 3], 1), F(1))], var_count=3
+)
+
+
+def _tampered_triangle_check(tmp_path, old, new):
+    """``check`` on the triangle's proof with ``old`` replaced once by ``new``."""
     x2x = tmp_path / "tri.x2x"
-    problem = normalize(
-        [(xor([1, 2], 1), F(1)), (xor([2, 3], 1), F(1)), (xor([1, 3], 1), F(1))], var_count=3
-    )
-    x2x.write_text(emit_x2x(problem))
+    x2x.write_text(emit_x2x(TRIANGLE))
     code, _ = invoke("bound", str(x2x))
     assert code == EXIT_OK
     proof_path = tmp_path / "tri.x2xproof"
-    corrupted = proof_path.read_text().replace("2/1", "1/1")
-    proof_path.write_text(corrupted)
-    code, output = invoke("check", str(x2x), str(proof_path))
+    text = proof_path.read_text()
+    assert text.splitlines()[0] == "s chain11 w 1/1 | 1 2 = 1; 2 3 = 1"
+    proof_path.write_text(text.replace(old, new, 1))
+    assert proof_path.read_text() != text
+    return invoke("check", str(x2x), str(proof_path))
+
+
+def test_check_rejects_corrupted_proof(tmp_path):
+    # the first premise's parity, flipped
+    code, output = _tampered_triangle_check(tmp_path, "| 1 2 = 1;", "| 1 2 = 0;")
     assert code == EXIT_REJECTED
-    assert output.startswith("REJECTED")
+    assert output.startswith("REJECTED at step 0: ")
+
+
+def test_check_rejects_a_tampered_rule_for_the_checker_reason(tmp_path):
+    code, output = _tampered_triangle_check(tmp_path, "s chain11 ", "s chain01 ")
+    step = ProofStep("chain01", F(1), (xor([1, 2], 1), xor([2, 3], 1)), ())
+    verdict = check_proof(TRIANGLE, [step])
+    assert verdict.reason == "chain01 premises must have parities 0/1"
+    assert (code, output) == (EXIT_REJECTED, f"REJECTED at step 0: {verdict.reason}\n")
 
 
 def test_export_cut(tmp_path):
@@ -441,11 +461,16 @@ def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
     problem = tmp_path / "p.x2x"
     problem.write_text(EXAMPLE1_X2X)
     proof = tmp_path / "p.x2xproof"
-    proof.write_text("s contra w 1 y z | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n")
-    code, _ = invoke("check", str(problem), str(proof))
-    err = capsys.readouterr().err
-    assert code == EXIT_ERROR
-    assert err.startswith("error: line 1:") and "Traceback" not in err
+    # a bad fresh variable, then a line of the full format of earlier releases
+    for line in (
+        "s contra w 1 y z | 1 = 0; 1 = 1",
+        "s contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |",
+    ):
+        proof.write_text(line + "\n")
+        code, _ = invoke("check", str(problem), str(proof))
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: line 1:") and "Traceback" not in err
 
     # A byte that is not UTF-8, in every file a command reads.
     binary = tmp_path / "binary"

@@ -14,8 +14,10 @@ from max2xor.core import (
     normalize,
     xor,
 )
+from max2xor.checker import check_proof
 from max2xor.gadgets import to_maxcut
 from max2xor.prover import saturate
+from max2xor.rules import PatternError, ProofStep, build_step
 from max2xor.textio import (
     CutGraph,
     emit_maxcut,
@@ -202,8 +204,8 @@ MALFORMED_CUT_AND_PROOF = [
     (parse_maxcut, "p cut 2 1\nc anchor1 1.5\ne 1 2 1/1\n", 2),
     (parse_maxcut, "p cut 2 1\n\ne a 2 1/1\n", 3),
     (parse_maxcut, "p cut 2 1\ne 1 b 1/1\n", 2),
-    (parse_proof, "s contra w 1 y z | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 1),
-    (parse_proof, "c first\ns compact00 w 1/1 y 4x | 1/1 1 2 = 0; 1/1 1 3 = 0 | |\n", 2),
+    (parse_proof, "s contra w 1 y z | 1 = 0; 1 = 1\n", 1),
+    (parse_proof, "c first\ns compact00 w 1/1 y 4x | 1 2 = 0; 1 3 = 0\n", 2),
 ]
 
 
@@ -219,12 +221,10 @@ def test_malformed_integer_tokens_raise_parse_error(parser, text, line):
 
 
 MALFORMED_RATIONALS = [
-    (parse_proof, "c x\ns contra w x | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 2, "applied weight 'x'"),
-    (parse_proof, "s xlate2 w 1/1 o 1/x | 1/1 1 2 0 | 1/2 1 = 1 |\n", 1, "offset '1/x'"),
-    (parse_proof, "s xlate2 w 1/1 o 1/2 | q 1 2 0 | 1/2 1 = 1 |\n", 1, "weight 'q'"),
-    (parse_proof, "c x\n\ns unit00 w 1/1 | 1/1 1 = 0; 1/1 1 2 = 0 | 1/1 2 = 0 | 2/0 -1 2 0\n",
-     3, "weight '2/0'"),
-    (parse_proof, "s contra w 1/1 | 1/y 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n", 1, "weight '1/y'"),
+    (parse_proof, "c x\ns contra w x | 1 = 0; 1 = 1\n", 2, "applied weight 'x'"),
+    # a premise holds no weight: a leading weight token is a bad literal or variable
+    (parse_proof, "s xlate2 w 1/1 | q 1 2 0\n", 1, "literal 'q'"),
+    (parse_proof, "s contra w 1/1 | 1/y 1 = 0; 1 = 1\n", 1, "variable '1/y'"),
     (parse_x2x, "p x2x 2\nf one\n", 2, "floor 'one'"),
     (parse_x2x, "p x2x 2\nc\n1/1 1 = 0\nz 2 = 1\n", 4, "weight 'z'"),
     (parse_maxcut, "p cut 2 1\ne 1 2 1/0\n", 2, "edge weight '1/0'"),
@@ -234,8 +234,7 @@ MALFORMED_RATIONALS = [
 @pytest.mark.parametrize(
     "parser,text,line,message",
     MALFORMED_RATIONALS,
-    ids=["step-weight", "offset", "clause-item", "residue", "premise", "floor", "entry",
-         "edge-weight"],
+    ids=["step-weight", "clause-item", "premise", "floor", "entry", "edge-weight"],
 )
 def test_malformed_rational_tokens_raise_parse_error(parser, text, line, message):
     with pytest.raises(ParseError) as err:
@@ -380,44 +379,43 @@ MALFORMED = [
                  "anchor node 0 outside 1..2", id="cut-anchor-0"),
     pytest.param(parse_maxcut, "c anchor0 7\np cut 2 1\ne 1 2 1/1\n", ParseError, 1,
                  "anchor before header", id="cut-anchor-before-header"),
-    pytest.param(parse_proof, "s contra w -1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+    pytest.param(parse_proof, "s contra w -1/1 | 1 = 0; 1 = 1\n",
                  ParseError, 1, "applied weight must be positive, got -1/1",
                  id="proof-negative-weight"),
     pytest.param(parse_proof, "s contra w 1/1 | | | |\n", ParseError, 1,
-                 "step line needs 4 '|' separated sections", id="proof-five-sections"),
-    pytest.param(parse_proof, "s contra 1/1 | | |\n", ParseError, 1,
+                 "step line needs one '|' between its head and its premises",
+                 id="proof-five-sections"),
+    # a line with conclusion and residue sections, as earlier releases wrote
+    pytest.param(parse_proof, "s contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+                 ParseError, 1, "step line needs one '|' between its head and its premises",
+                 id="proof-full-format"),
+    pytest.param(parse_proof, "s contra 1/1 | 1 = 0; 1 = 1\n", ParseError, 1,
                  "bad step head 's contra 1/1'", id="proof-head"),
-    pytest.param(parse_proof, "s contra w 1/1 q 1 | | |\n", ParseError, 1,
+    pytest.param(parse_proof, "s contra w 1/1 q 1 | 1 = 0; 1 = 1\n", ParseError, 1,
                  "bad step head token 'q'", id="proof-head-token"),
-    pytest.param(parse_proof, "s contra w 1/1 y | | |\n", ParseError, 1,
+    pytest.param(parse_proof, "s contra w 1/1 y | 1 = 0; 1 = 1\n", ParseError, 1,
                  "bad step head token 'y'", id="proof-head-dangling"),
-    pytest.param(parse_proof, "s contra w 1/1 | 1/2 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
-                 ParseError, 1, "premise weight 1/2 differs from applied weight 1",
-                 id="proof-premise-weight"),
-    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 2 | 1/2 1 = 1 |\n", ParseError, 1,
+    pytest.param(parse_proof, "s contra w 1/1 | 1/2 1 = 0; 1/2 1 = 1\n",
+                 ParseError, 1, "bad variable '1/2'", id="proof-premise-weight"),
+    pytest.param(parse_proof, "s xlate2 w 1/1 | 1 2\n", ParseError, 1,
                  "clause must end with 0", id="proof-clause-terminator"),
-    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 x 0 | 1/2 1 = 1 |\n", ParseError,
+    pytest.param(parse_proof, "s xlate2 w 1/1 | 1 x 0\n", ParseError,
                  1, "bad literal 'x'", id="proof-clause-literal"),
-    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 1/1 1 -1 0 | 1/2 1 = 1 |\n",
+    pytest.param(parse_proof, "s xlate2 w 1/1 | 1 -1 0\n",
                  ParseError, 1, None, id="proof-clause-tautology"),
-    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 | 0/1 1 2 0 | 1/2 1 = 1 |\n", ParseError,
-                 1, "weight must be positive, got 0/1", id="proof-clause-weight"),
-    pytest.param(parse_proof, "c\ns contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 2 |\n",
-                 ParseError, 2, "parity must be 0 or 1, got '2'", id="proof-conclusion-parity"),
-    pytest.param(parse_proof, "s contra w 1_0/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+    pytest.param(parse_proof, "s xlate2 w 1/1 | 0/1 1 2 0\n", ParseError,
+                 1, "bad literal '0/1'", id="proof-clause-weight"),
+    pytest.param(parse_proof, "c\ns contra w 1/1 | 1 = 0; 1 = 2\n",
+                 ParseError, 2, "parity must be 0 or 1, got '2'", id="proof-premise-parity"),
+    pytest.param(parse_proof, "s contra w 1_0/1 | 1 = 0; 1 = 1\n",
                  ParseError, 1, "bad applied weight '1_0/1'", id="proof-underscore-weight"),
-    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 y 10 | 1/1 1 2 3 0 | |\n", ParseError, 1,
+    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 y 10 | 1 2 3 0\n", ParseError, 1,
                  "repeated step head token 'y'", id="proof-repeated-fresh"),
-    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 o 1/1 y 10 | 1/1 1 2 3 0 | |\n", ParseError,
-                 1, "repeated step head token 'y'", id="proof-repeated-fresh-apart"),
-    pytest.param(parse_proof, "s xlate2 w 1/1 o 1/2 o 1/2 | 1/1 1 2 0 | 1/2 1 = 1 |\n",
-                 ParseError, 1, "repeated step head token 'o'", id="proof-repeated-offset"),
-    pytest.param(parse_proof, "s contra w 1/1 o +1/2 | | |\n", ParseError, 1,
-                 "bad offset '+1/2'", id="proof-plus-offset"),
-    pytest.param(parse_proof, "s contra w 1/1 | 1/1 \u0661 = 0; 1/1 1 = 1 | 1/1 = 1 |\n",
+    # 'o' is no head token: the rule fixes the offset
+    pytest.param(parse_proof, "s xlate3 w 1/1 y 9 o 1/1 y 10 | 1 2 3 0\n", ParseError,
+                 1, "bad step head token 'o'", id="proof-repeated-fresh-apart"),
+    pytest.param(parse_proof, "s contra w 1/1 | \u0661 = 0; 1 = 1\n",
                  ParseError, 1, "bad variable '\u0661'", id="proof-arabic-indic-variable"),
-    pytest.param(parse_proof, "s contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 | 1/1 1_2 0\n",
-                 ParseError, 1, "bad literal '1_2'", id="proof-underscore-residue"),
 ]
 
 
@@ -437,19 +435,18 @@ def test_malformed_input_table(parser, text, error, line, message):
 
 def test_proof_contra_line_format():
     _, steps = saturate([(xor([1], 0), F(1)), (xor([1], 1), F(1))])
-    assert emit_proof(steps) == "s contra w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n"
+    assert emit_proof(steps) == "s contra w 1/1 | 1 = 0; 1 = 1\n"
     assert parse_proof(emit_proof(steps)) == steps
 
 
 def test_proof_chain_residues_have_double_weight():
+    # the line names no residues; the parser derives both at weight 2w
     items = [(xor([1, 2], 1), F(1)), (xor([2, 3], 1), F(1)), (xor([1, 3], 1), F(1))]
     _, steps = saturate(items)
     text = emit_proof(steps)
-    chain_line = text.splitlines()[0]
-    assert chain_line.startswith("s chain11")
-    residue_section = chain_line.split("|")[3]
-    assert residue_section.count("2/1") == 2  # two ternary residues at weight 2w
+    assert text.splitlines()[0] == "s chain11 w 1/1 | 1 2 = 1; 2 3 = 1"
     assert parse_proof(text) == steps
+    assert [m for _, m in steps[0].residues] == [2, 2]
 
 
 def test_proof_round_trip_random_engine_output():
@@ -469,40 +466,47 @@ def test_proof_round_trip_random_engine_output():
 
 def test_parse_proof_errors():
     with pytest.raises(ParseError):
-        parse_proof("s nonsense w 1/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n")
+        parse_proof("s nonsense w 1/1 | 1 = 0; 1 = 1\n")
     with pytest.raises(ParseError):
-        parse_proof("s contra w 0/1 | 1/1 1 = 0; 1/1 1 = 1 | 1/1 = 1 |\n")
+        parse_proof("s contra w 0/1 | 1 = 0; 1 = 1\n")
     with pytest.raises(ParseError):
-        parse_proof("s contra w 1/1 | 1/1 1 = 0 | 1/1 = 1 |\n".replace(" | 1/1 = 1 |", ""))
+        parse_proof("s contra w 1/1 1 = 0; 1 = 1\n")
     assert parse_proof("c comment only\n") == []
 
 
-# A 7-edge ring: five chain00 steps and one contra, every weight token 1/1 or
-# 2/1, so each weight of line 5 was already read on an earlier line.
+def test_parse_proof_keeps_a_step_that_does_not_fit_its_rule():
+    # the premises' parities do not fit contra: the step comes back without
+    # conclusions, and the checker rejects it with build_step's reason
+    (step,) = parse_proof("s contra w 1/1 | 1 = 0; 1 = 0\n")
+    assert step == ProofStep("contra", F(1), (xor([1], 0), xor([1], 0)), ())
+    verdict = check_proof([(xor([1], 0), F(1))], [step])
+    assert (verdict.accepted, verdict.failing_step) == (False, 0)
+    with pytest.raises(PatternError) as caught:
+        build_step("contra", step.premises, F(1))
+    assert verdict.reason == str(caught.value)
+
+
+# A 7-edge ring: five chain00 steps and one contra, every applied weight 1/1,
+# so the weight of line 5 was already read on an earlier line.
 RING = "p x2x 7\n" + "".join(f"1/1 {i} {i + 1} = 0\n" for i in range(1, 7)) + "1/1 1 7 = 1\n"
 
 
 @pytest.mark.parametrize("bad", ["0/1", "-1/2", "1/0", "x"])
-@pytest.mark.parametrize("section", [0, 1, 2, 3])  # head, premises, conclusions, residues
+@pytest.mark.parametrize("section", [0, 1])  # head, premises
 def test_parse_proof_memo_keeps_errors_exact(bad, section):
     lines = emit_proof(saturate(parse_x2x(RING))[1]).splitlines()
-    assert len(lines) == 6 and all(" 1/1 " in line for line in lines)
+    assert len(lines) == 6 and all(" w 1/1 | " in line for line in lines)
     parts = lines[4].split("|")
-    old = "w 1/1" if section == 0 else "2/1" if section == 3 else "1/1"
-    parts[section] = parts[section].replace(old, old[:-3] + bad, 1)
+    old = "w 1/1" if section == 0 else " 1 "
+    new = f"w {bad}" if section == 0 else f" {bad} "
+    parts[section] = parts[section].replace(old, new, 1)
     lines[4] = "|".join(parts)
     with pytest.raises(ParseError) as caught:
         parse_proof("\n".join(lines) + "\n")
-    what = "applied weight" if section == 0 else "weight"
-    reason = f"bad {what} '{bad}'" if bad in ("1/0", "x") else f"{what} must be positive, got {bad}"
+    if section == 1:
+        reason = f"bad variable '{bad}'"
+    elif bad in ("1/0", "x"):
+        reason = f"bad applied weight '{bad}'"
+    else:
+        reason = f"applied weight must be positive, got {bad}"
     assert (caught.value.line, str(caught.value)) == (5, f"line 5: {reason}")
-
-
-def test_parse_proof_memo_keeps_the_premise_weight_check():
-    # 2/1 was read as a residue weight on line 1; as a premise weight it
-    # still differs from the applied weight
-    lines = emit_proof(saturate(parse_x2x(RING))[1]).splitlines()
-    lines[4] = lines[4].replace("| 1/1 1 6 = 0;", "| 2/1 1 6 = 0;", 1)
-    with pytest.raises(ParseError) as caught:
-        parse_proof("\n".join(lines) + "\n")
-    assert str(caught.value) == "line 5: premise weight 2 differs from applied weight 1"
