@@ -5,7 +5,8 @@ shows the exact cost shift the compilation introduces, saturates the result
 with the parity resolution rules, and replays the proof through the
 independent checker.  The derived empty-clause weight m, minus the shift,
 lower-bounds the cost of the original instance; reaching shift + 1 proves a
-decision instance unsatisfiable.
+decision instance unsatisfiable.  Each verdict is read from the checker's own
+summary, which links back to the compiled problem by its value.
 """
 
 from max2xor import (
@@ -32,11 +33,13 @@ WCNF = """p wcnf 3 9
 3 -1 3 0
 """
 
-UNSAT_CNF = """p cnf 2 4
+UNSAT_CNF = """p cnf 3 6
 1 2 0
-1 -2 0
--1 2 0
 -1 -2 0
+2 3 0
+-2 -3 0
+1 3 0
+-1 -3 0
 """
 
 
@@ -55,20 +58,21 @@ def main():
 
     summary, steps = saturate(report.problem)
     print(f"\nderived empty-clause weight m = {summary.bound_m} in {summary.steps} steps")
-    verdict = bound_to_original(summary, report)
-    print(f"verdict for the source instance: {verdict.message}")
-
     check = check_proof(report.problem, steps, summary)
     print(f"independent checker accepts the proof: {check.accepted}")
+    print(f"verdict for the source instance: {bound_to_original(check.summary, report).message}")
 
-    # A decision instance: all four binary clauses over two variables
-    # contradict each other; the compiled cost reaches shift + 1.
+    # A decision instance: x1 != x2, x2 != x3 and x1 != x3 cannot all hold,
+    # since three variables cannot pairwise differ over two values.  The
+    # compiled odd cycle contracts in two steps to m = shift + 1.
     report = compile_maxsat(parse_cnf(UNSAT_CNF))
     summary, steps = saturate(report.problem)
-    print(f"\nfour-clause contradiction: m = {summary.bound_m}, shift = {report.shift}")
-    print(f"verdict: {bound_to_original(summary, report).message}")
+    check = check_proof(report.problem, steps, summary)
+    print(f"\nodd cycle of disequalities: m = {check.summary.bound_m}, shift = {report.shift}, "
+          f"checker accepts: {check.accepted}")
+    print(f"verdict: {bound_to_original(check.summary, report).message}")
     print("proof log:")
-    print(emit_proof(steps) or "  (the cancellation floor alone carries the bound)")
+    print(emit_proof(steps), end="")
 
 
 if __name__ == "__main__":

@@ -199,10 +199,12 @@ def bound_to_original(summary: ProofSummary, report: "CompileReport") -> BoundVe
 
     The compilation shifted the cost up by ``report.shift``, so the source
     cost is at least ``bound_m - shift``; reaching ``shift + 1`` proves a
-    decision instance unsatisfiable.  Only the annotation names the report's
+    decision instance unsatisfiable.  A summary, the prover's or the checker's,
+    links back only if its proof started from a problem equal in value to the
+    compiled one (``provenance``).  Only the annotation names the report's
     class, ``gadgets.CompileReport``: the checker does not import the compiler.
     """
-    if summary.provenance != report.provenance:
+    if summary.provenance is None or summary.provenance != report.provenance:
         raise ProvenanceError(
             "proof summary was not derived from this compilation's problem"
         )

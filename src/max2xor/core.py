@@ -198,6 +198,18 @@ def clause(*lits: int) -> OrClause:
     return OrClause(tuple(sorted(lits, key=abs)))
 
 
+class VarAllocator:
+    """Serial fresh-variable source; ids strictly increase."""
+
+    def __init__(self, first_id: int):
+        self.next_id = first_id
+
+    def fresh(self) -> int:
+        v = self.next_id
+        self.next_id += 1
+        return v
+
+
 class EvalResult(NamedTuple):
     satisfied: Fraction
     unsatisfied: Fraction
@@ -234,6 +246,11 @@ class X2XProblem:
 
     def sorted_entries(self) -> Tuple[Tuple[XorConstraint, Fraction], ...]:
         return tuple(sorted(self.entries.items()))
+
+
+def problem_key(problem: X2XProblem) -> tuple:
+    """An immutable snapshot of the problem's value: its entries, floor and variable count."""
+    return frozenset(problem.entries.items()), problem.floor, problem.var_count
 
 
 def _scaled(items: Sequence[Tuple[object, Fraction]], *extra: Fraction):

@@ -10,7 +10,6 @@ problem's cost back to the source instance.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -22,15 +21,17 @@ from .core import (
     OrClause,
     ShapeError,
     SizeGuardError,
+    VarAllocator,
     X2XProblem,
     XorConstraint,
     ZERO,
     check_weight,
     clause,
     normalize,
+    problem_key,
     xor,
 )
-from .textio import CutGraph, WcnfInstance, emit_x2x
+from .textio import CutGraph, WcnfInstance
 
 XorItems = List[Tuple[XorConstraint, Fraction]]
 
@@ -82,18 +83,6 @@ def clause_params(k: int) -> GadgetParams:
     if k == 1:
         return GadgetParams(Fraction(1), Fraction(1), 0)
     return GadgetParams(Fraction(k - 1), Fraction(3 * (k - 1), 2), k - 2)
-
-
-class VarAllocator:
-    """Serial fresh-variable source; ids strictly increase."""
-
-    def __init__(self, first_id: int):
-        self.next_id = first_id
-
-    def fresh(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +384,15 @@ class CompileReport:
 
     ``shift`` is the exact amount by which the compiled cost exceeds the
     source cost; a derived empty-clause weight of at least ``shift + 1``
-    proves the (decision) source unsatisfiable.
+    proves the (decision) source unsatisfiable.  ``provenance`` is the
+    ``problem_key`` of the problem as compiled, which a summary must match.
     """
 
     problem: X2XProblem
     shift: Fraction
     aux_map: Dict[int, int] = field(default_factory=dict)
     params_per_arity: Dict[int, GadgetParams] = field(default_factory=dict)
-    provenance: str = ""
+    provenance: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def threshold(self) -> Fraction:
@@ -410,10 +400,6 @@ class CompileReport:
 
 
 STRATEGIES = ("sequential", "tree")
-
-
-def problem_digest(problem: X2XProblem) -> str:
-    return hashlib.sha256(emit_x2x(problem).encode()).hexdigest()[:16]
 
 
 def compile_maxsat(
@@ -468,7 +454,7 @@ def compile_maxsat(
         shift=shift,
         aux_map=aux_map,
         params_per_arity=params,
-        provenance=problem_digest(problem),
+        provenance=problem_key(problem),
     )
 
 

@@ -13,8 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core import Max2XorError, X2XProblem, XorConstraint, _unit_fractions
-from .gadgets import VarAllocator, problem_digest
+from .core import Max2XorError, VarAllocator, X2XProblem, XorConstraint, _unit_fractions
 from .rules import ProofStep, ProofState, ProofSummary, RawItems, _summarize, apply_rule, make_state
 
 
@@ -449,7 +448,6 @@ def saturate(
         raise Max2XorError(f"unknown mode {mode!r}; pick one of {MODES}")
     if type(max_rounds) is not int or max_rounds < 1:
         raise Max2XorError("retranslate rounds must be at least 1")
-    provenance = problem_digest(source) if isinstance(source, X2XProblem) else ""
     state = make_state(source)
     index = _CycleIndex(state.entry_units)
     fraction = _unit_fractions(state.scale)
@@ -487,7 +485,7 @@ def saturate(
         bound_units = state.floor_units - state.offset_units
         if kept is not None and bound_units <= kept_units:
             return replace(kept, round_stats=tuple(round_stats)), steps[: kept.steps]
-        summary = _summarize(state, rounds, len(steps), tuple(round_stats), provenance)
+        summary = _summarize(state, rounds, len(steps), tuple(round_stats))
         if (
             mode != "retranslate"
             or rounds >= total_rounds

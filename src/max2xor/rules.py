@@ -45,6 +45,7 @@ from .core import (
     _scaled,
     _unit_fractions,
     check_weight,
+    problem_key,
 )
 
 
@@ -83,6 +84,7 @@ class ProofState:
     rules halve residues, which enter at twice a present weight, so updates
     stay whole; one that does not raises, never rounds.  Every variable id
     up to ``var_count`` counts as seen; ``seen_vars`` holds the ones above.
+    ``provenance`` is the ``problem_key`` of the problem ingested, if any.
     """
 
     scale: int = 1
@@ -92,6 +94,7 @@ class ProofState:
     offset_units: int = 0
     var_count: int = 0
     seen_vars: Set[int] = field(default_factory=set)
+    provenance: Optional[tuple] = field(default=None, repr=False)
 
 
 RawItems = Iterable[Tuple[XorConstraint, Fraction]]
@@ -106,11 +109,11 @@ def make_state(source: Union[X2XProblem, RawItems]) -> ProofState:
     if isinstance(source, X2XProblem):
         items = [(constraint, check_weight(w)) for constraint, w in source.entries.items()]
         items.append((EMPTY_CLAUSE, source.floor))  # the floor is always-false weight
-        var_count = source.var_count
+        var_count, key = source.var_count, problem_key(source)
     else:
-        items, var_count = [(constraint, check_weight(w)) for constraint, w in source], 0
+        items, var_count, key = [(constraint, check_weight(w)) for constraint, w in source], 0, None
     _, scale, units = _scaled(items)
-    state, seen = ProofState(scale, var_count=var_count), set()
+    state, seen = ProofState(scale, var_count=var_count, provenance=key), set()
     for (constraint, _), u in zip(items, units):
         if constraint == TAUTOLOGY:
             continue
@@ -355,7 +358,7 @@ def apply_rule(
     """Fire one rule against the state; returns the mutated state and step.
 
     Rules that introduce a variable (the compact rules and ``xlate3``) draw
-    it from ``alloc``, a :class:`~max2xor.gadgets.VarAllocator`, which only
+    it from ``alloc``, a :class:`~max2xor.core.VarAllocator`, which only
     advances when the step applies.
     """
     takes_fresh = rule in RULES and RULES[rule].fresh  # build_step rejects an unknown rule
@@ -390,15 +393,11 @@ class ProofSummary:
     floor_total: Fraction
     offset_total: Fraction
     round_stats: Tuple[Tuple[int, int], ...] = ()  # (entries at round start, rule steps)
-    provenance: str = ""
+    provenance: Optional[tuple] = field(default=None, repr=False)  # problem_key of the problem proved
 
 
 def _summarize(
-    state: ProofState,
-    rounds: int,
-    steps: int,
-    round_stats: Tuple[Tuple[int, int], ...] = (),
-    provenance: str = "",
+    state: ProofState, rounds: int, steps: int, round_stats: Tuple[Tuple[int, int], ...] = ()
 ) -> ProofSummary:
     scale, residues = state.scale, state.residue_units
     fraction = _unit_fractions(scale)
@@ -412,5 +411,5 @@ def _summarize(
         floor_total=Fraction(state.floor_units, scale),
         offset_total=Fraction(state.offset_units, scale),
         round_stats=round_stats,
-        provenance=provenance,
+        provenance=state.provenance,
     )

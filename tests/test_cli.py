@@ -390,6 +390,8 @@ for argv in (["compile", str(tmp / "small.cnf"), "-o", x2x], ["bound", x2x, "-o"
              ["check", x2x, proof], ["export-cut", x2x]):
     assert cli.run(argv, out=io.StringIO()) == cli.EXIT_OK, argv
 assert "numpy" not in sys.modules
+# a proof links back to its problem by value, not by a hash of the problem's text
+assert "hashlib" not in sys.modules
 # the oracles load numpy on their first call
 assert brute_opt_cost(problem).cost == report.shift == 7 / 2
 lits = clause(1, -2)

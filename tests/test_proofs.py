@@ -50,7 +50,7 @@ from max2xor.rules import (
     build_step,
     make_state,
 )
-from max2xor.textio import emit_proof, parse_cnf, parse_proof
+from max2xor.textio import emit_proof, emit_x2x, parse_cnf, parse_proof, parse_x2x
 
 F = Fraction
 H = Fraction(1, 2)
@@ -1381,6 +1381,8 @@ def test_checker_imports_none_of_the_prover():
     closure = _import_closure("checker")
     assert closure == {"core", "rules"}, sorted(closure)
     assert _package_imports("rules") == {"core"}
+    # the search needs neither the compiler nor the text formats
+    assert _import_closure("prover") == {"core", "rules"}, sorted(_import_closure("prover"))
     # the walk does follow imports into the prover from the command line
     assert "prover" in _import_closure("cli")
 
@@ -1412,6 +1414,30 @@ def test_bound_to_original_provenance_check():
     summary, _ = saturate(other.problem)
     with pytest.raises(ProvenanceError):
         bound_to_original(summary, report)
+
+    # an odd cycle of disequalities: a 2-step proof of m = 4 against shift 3
+    cycle = "p cnf 3 6\n1 2 0\n-1 -2 0\n2 3 0\n-2 -3 0\n1 3 0\n-1 -3 0\n"
+    report = compile_maxsat(parse_cnf(cycle))
+    summary, steps = saturate(report.problem)
+    verdict = bound_to_original(summary, report)
+    assert (len(steps), verdict.message) == (2, "UNSAT lb=1/1")
+    # the checker's summary links back, and so does a proof of the problem re-read
+    checked = check_proof(report.problem, steps, summary)
+    assert checked.accepted and bound_to_original(checked.summary, report) == verdict
+    reread = parse_x2x(emit_x2x(report.problem))
+    assert bound_to_original(saturate(reread)[0], report) == verdict
+    # raw items name no problem, so their summary links to no report, even at the same bound
+    raw = list(report.problem.entries.items()) + [(EMPTY_CLAUSE, report.problem.floor)]
+    raw_summary, _ = saturate(raw)
+    assert raw_summary.bound_m == summary.bound_m
+    with pytest.raises(ProvenanceError):
+        bound_to_original(raw_summary, report)
+    # a compiled problem changed in place is no longer the problem compiled
+    report = compile_maxsat(parse_cnf(cycle))
+    constraint = min(report.problem.entries)
+    report.problem.entries[constraint] += 1
+    with pytest.raises(ProvenanceError):
+        bound_to_original(saturate(report.problem)[0], report)
 
 
 # ---------------------------------------------------------------------------
