@@ -249,8 +249,10 @@ class X2XProblem:
 
 
 def problem_key(problem: X2XProblem) -> tuple:
-    """An immutable snapshot of the problem's value: its entries, floor and variable count."""
-    return frozenset(problem.entries.items()), problem.floor, problem.var_count
+    """A snapshot of the problem's value: a private copy of its entries, its
+    floor and variable count.  It compares by value, in any entry order, and
+    copies no weight, so it costs no ``Fraction`` hash."""
+    return dict(problem.entries), problem.floor, problem.var_count
 
 
 def _scaled(items: Sequence[Tuple[object, Fraction]], *extra: Fraction):
@@ -340,9 +342,12 @@ def parse_rational(token: str) -> Fraction:
     match = _RATIONAL_TOKEN.fullmatch(token)
     if match is not None:
         num, den = match.groups()
-        if den is None:
-            return Fraction(int(num))
-        den = int(den)
-        if den:
-            return Fraction(int(num), den)
+        try:
+            if den is None:
+                return Fraction(int(num))
+            den = int(den)
+            if den:
+                return Fraction(int(num), den)
+        except ValueError:  # more digits than the interpreter converts
+            pass
     raise ParseError(f"bad rational {token!r}")

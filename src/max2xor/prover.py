@@ -217,32 +217,30 @@ def _edge_constraint(u: int, v: int, parity: int) -> XorConstraint:
     return XorConstraint(tuple(sorted((u, v))), parity)
 
 
-def _triangle(
-    cover: Cover, sources: Iterable[int], parity: int
-) -> Optional[List[Tuple[int, int, int]]]:
-    """First three-edge walk of the given parity that closes at a source, as
-    (u, v, parity) edges ending at the source, or None.
+def _triangle(cover: Cover, sources: Iterable[int]) -> Optional[List[Tuple[int, int, int]]]:
+    """First odd three-edge walk that closes at a source, as (u, v, parity)
+    edges ending at the source, or None.
 
     For each source s in ascending order, it reads only the keys k on the
     list of ``2s`` whose vertex is above s, and returns the first walk
-    ``2s, k, j`` whose end's ``j ^ parity`` is one of those keys.  That is
+    ``2s, k, j`` whose end's twin ``j ^ 1`` is one of those keys.  That is
     exact: the least vertex of a triangle is the first source that can see
     it, and the triangle's other two vertices lie above that vertex.  So the
     winning source and its first hit in neighbour order are those of a scan
-    over every neighbour, which for parity 1 is the walk that
-    :func:`_bfs_odd_walk` builds.  A triangle read the other way round is a
-    hit too, at its other far vertex, so the first hit has ``u < v``.
-    Expects no opposite-parity pair, so each vertex is on a list once.
+    over every neighbour, which is the walk that :func:`_bfs_odd_walk`
+    builds.  A triangle read the other way round is a hit too, at its other
+    far vertex, so the first hit has ``u < v``.  Expects no opposite-parity
+    pair, so each vertex is on a list once.
     """
     for s in sources:
         nbrs = cover[2 * s]
         above = nbrs[bisect_left(nbrs, 2 * s + 2):]
-        ends = {key ^ parity for key in above}
+        ends = {key ^ 1 for key in above}
         for key in above:
             for far in cover[key]:
                 if far in ends:
                     u, v = key >> 1, far >> 1
-                    return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ parity)]
+                    return [(s, u, key & 1), (u, v, (key ^ far) & 1), (v, s, (far & 1) ^ 1)]
     return None
 
 
@@ -263,7 +261,7 @@ def _shortest_odd_walk(index: _CycleIndex) -> Optional[List[Tuple[int, int, int]
     no source there has a walk.
     """
     cover, sources = index.cover, index.sources
-    triangle = _triangle(cover, sources[bisect_left(sources, index.triangle_floor()):], 1)
+    triangle = _triangle(cover, sources[bisect_left(sources, index.triangle_floor()):])
     index.tri_from = triangle[0][0] if triangle else sources[-1] + 1 if sources else 0
     if triangle is not None:
         return triangle
@@ -284,34 +282,23 @@ def _shortest_odd_walk(index: _CycleIndex) -> Optional[List[Tuple[int, int, int]
 
 
 def _next_cycle(
-    index: _CycleIndex, compact: bool = False, triangle_quota: int = 0
+    index: _CycleIndex, compact: bool = False
 ) -> Optional[Tuple[List[XorConstraint], str]]:
     """Next contractible cycle and its kind, in every saturation mode.
 
     First the opposite-parity pair with the least variable set (``pair``).
-    Then the shortest odd cycle (``odd``, see :func:`_shortest_odd_walk`);
-    in compact mode the constant node's walk (``unit-chain``), since
-    unit-rule chains do not flip parities.  Then, in compact mode while
-    ``triangle_quota`` lasts, the least parity-balanced triangle off the
-    constant node (``triangle``), which exercises the compact chain rules.
+    Then the shortest odd cycle (``odd``, see :func:`_shortest_odd_walk`),
+    or in compact mode the constant node's walk alone (``unit-chain``),
+    since unit-rule chains do not flip parities.
     """
     if index.opposite:
         vars_ = min(index.opposite)
         return [XorConstraint(vars_, 0), XorConstraint(vars_, 1)], "pair"
-    cover = index.cover
-    if compact:
-        best = _bfs_odd_walk(cover, CONSTANT_NODE)
-    else:
-        best = _shortest_odd_walk(index)
+    best = _bfs_odd_walk(index.cover, CONSTANT_NODE) if compact else _shortest_odd_walk(index)
     if best is not None:
         cycle = [_edge_constraint(u, v, p) for u, v, p in best]
         if len(set(cycle)) == len(cycle):  # globally shortest odd walks are simple
             return cycle, "unit-chain" if compact else "odd"
-    if compact and triangle_quota > 0:
-        sources = [s for s in index.sources if s != CONSTANT_NODE]
-        triangle = _triangle(cover, sources, 0)
-        if triangle is not None:
-            return [_edge_constraint(u, v, p) for u, v, p in triangle], "triangle"
     return None
 
 
@@ -340,9 +327,6 @@ def find_odd_cycle(
 # Saturation engine
 
 MODES = ("discard", "retranslate", "compact")
-
-# Parity-balanced triangles a compact-mode round may contract.
-COMPACT_TRIANGLE_QUOTA = 4
 
 
 def _attains_bound(state: ProofState, index: _CycleIndex) -> bool:
@@ -382,33 +366,27 @@ def _attains_bound(state: ProofState, index: _CycleIndex) -> bool:
     )
 
 
-def _combine(acc: XorConstraint, edge: XorConstraint, compact: bool):
+def _combine(acc: XorConstraint, edge: XorConstraint):
     """Rule id and ordered premises for one contraction step."""
     if acc.arity == 1:
-        rule = f"unit{acc.parity}{edge.parity}"
-        return rule, (acc, edge)
-    first, second = acc, edge
-    if first.parity > second.parity:
-        first, second = second, first
-    family = "compact" if compact else "chain"
-    return f"{family}{first.parity}{second.parity}", (first, second)
+        return f"unit{acc.parity}{edge.parity}", (acc, edge)
+    first, second = (acc, edge) if acc.parity <= edge.parity else (edge, acc)
+    return f"chain{first.parity}{second.parity}", (first, second)
 
 
 def _contract_cycle(
     state: ProofState,
     index: _CycleIndex,
     cycle: List[XorConstraint],
-    compact: bool,
-    alloc: VarAllocator,
     steps: List[ProofStep],
     fraction: Callable[[int], Fraction],
 ) -> int:
     units, first = state.entry_units, len(steps)
     acc = cycle[0]
     for edge in cycle[1:-1]:
-        rule, premises = _combine(acc, edge, compact)
+        rule, premises = _combine(acc, edge)
         weight = fraction(min(units[premises[0]], units[premises[1]]))
-        _, step = apply_rule(state, rule, premises, weight, alloc)
+        _, step = apply_rule(state, rule, premises, weight)
         steps.append(step)
         acc = step.conclusions[0][0]
     closing = cycle[-1]
@@ -429,11 +407,11 @@ def saturate(
 
     ``discard`` logs residue clauses but never feeds them back;
     ``retranslate`` compiles them into fresh parity constraints between
-    rounds (up to ``max_rounds`` saturation rounds); ``compact`` uses the
-    fresh-variable chain rules instead of residue clauses and contracts up to
-    ``COMPACT_TRIANGLE_QUOTA`` parity-balanced triangles.  Per round, rule
-    applications are budgeted by the entry count at the round's start, which
-    enforces the linear derivation length; ``max_rounds`` must be an int >= 1.
+    rounds (up to ``max_rounds`` saturation rounds); ``compact`` contracts
+    only opposite-parity pairs and the constant node's unit-rule chains, in
+    one round.  Per round, rule applications are budgeted by the entry count
+    at the round's start, which enforces the linear derivation length;
+    ``max_rounds`` must be an int >= 1.
 
     Only the ``xlate`` steps at a round's start lower the bound, so the best
     proof prefix ends at a round end.  Retranslation stops after the first
@@ -470,17 +448,11 @@ def saturate(
             index.follow(steps[first:], state.entry_units)
         budget = len(state.entry_units)
         used = 0
-        quota = COMPACT_TRIANGLE_QUOTA
         while True:
-            found = _next_cycle(index, mode == "compact", quota)
-            if found is None:
+            found = _next_cycle(index, mode == "compact")
+            if found is None or used + len(found[0]) - 1 > budget:
                 break
-            cycle, kind = found
-            if kind == "triangle":
-                quota -= 1
-            if used + len(cycle) - 1 > budget:
-                break
-            used += _contract_cycle(state, index, cycle, mode == "compact", alloc, steps, fraction)
+            used += _contract_cycle(state, index, found[0], steps, fraction)
         round_stats.append((budget, used))
         bound_units = state.floor_units - state.offset_units
         if kept is not None and bound_units <= kept_units:

@@ -67,9 +67,12 @@ def _records(text: str, comment_prefixes: Tuple[str, ...]) -> Iterator[Tuple[int
 
 def _int(token: str, what: str, line_no: int) -> int:
     """An ASCII ``-?[0-9]+`` token, or a ParseError naming ``what`` and the line."""
-    if not (token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit())):
-        raise ParseError(f"bad {what} {token!r}", line_no)
-    return int(token)
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ParseError(f"bad {what} {token!r}", line_no)
 
 
 def _rational(token: str, what: str, line_no: int) -> Fraction:

@@ -495,6 +495,32 @@ def test_check_reports_malformed_proof_without_traceback(tmp_path, capsys):
         assert err.startswith(f"error: {binary} is not UTF-8 text:"), (argv, err)
 
 
+def test_integer_tokens_over_the_digit_limit_are_parse_errors(tmp_path, capsys):
+    # Python converts at most 4,300 digits between int and str by default
+    huge = "9" * 5000
+    problem = tmp_path / "p.x2x"
+    problem.write_text(EXAMPLE1_X2X)
+    files = {
+        "count.cnf": f"p cnf {huge} 1\n1 0\n",
+        "variable.x2x": f"p x2x 2\n1/1 1 {huge} = 0\n",
+        "denominator.x2x": f"p x2x 2\n1/{huge} 1 = 0\n",
+        "premise.x2xproof": f"s contra w 1/1 | {huge} = 0; {huge} = 1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for argv in (
+        ("compile", "count.cnf"),
+        ("bound", "variable.x2x"),
+        ("oracle", "variable.x2x"),
+        ("bound", "denominator.x2x"),
+        ("check", str(problem), "premise.x2xproof"),
+    ):
+        code, out = invoke(*(str(tmp_path / a) if a in files else a for a in argv))
+        err = capsys.readouterr().err
+        assert (code, out) == (EXIT_ERROR, ""), argv
+        assert err.startswith("error: line ") and "Traceback" not in err, argv
+
+
 def test_bound_rejects_bad_round_counts(tmp_path, capsys):
     source = tmp_path / "contradiction.cnf"
     source.write_text("p cnf 1 2\n1 0\n-1 0\n")

@@ -403,7 +403,7 @@ def _reference_find_odd_cycle(entries):
     return cycle, min(entries[c] for c in cycle)
 
 
-def _reference_compact_cycle(entries, triangle_quota):
+def _reference_compact_cycle(entries):
     pair = _reference_opposite_pair(entries)
     if pair is not None:
         return pair, "pair"
@@ -414,19 +414,6 @@ def _reference_compact_cycle(entries, triangle_quota):
             cycle = _reference_walk_cycle(walk)
             if cycle is not None:
                 return cycle, "unit-chain"
-    if triangle_quota > 0:
-        edges = {c.vars: c.parity for c in entries if c.arity == 2}
-        neighbours = {}
-        for u, v in edges:
-            neighbours.setdefault(u, set()).add(v)
-            neighbours.setdefault(v, set()).add(u)
-        for u in sorted(neighbours):
-            for v in sorted(w for w in neighbours[u] if w > u):
-                for w in sorted(x for x in neighbours[u] & neighbours[v] if x > v):
-                    p1, p2, p3 = edges[(u, v)], edges[(v, w)], edges[(u, w)]
-                    if p1 ^ p2 ^ p3 == 0:
-                        cycle = [xor([u, v], p1), xor([v, w], p2), xor([u, w], p3)]
-                        return cycle, "triangle"
     return None
 
 
@@ -571,18 +558,16 @@ def test_odd_walk_length_is_the_search_length_above_its_source():
 def test_compact_finder_matches_full_search():
     kinds = set()
     for entries in _random_entry_sets(77, 300):
-        for quota in (0, 1):
-            expected = _reference_compact_cycle(entries, quota)
-            found = _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=quota)
-            assert found == expected, (sorted(entries), quota)
-            kinds.add(None if expected is None else expected[1])
-    assert kinds == {None, "pair", "unit-chain", "triangle"}
+        expected = _reference_compact_cycle(entries)
+        assert _next_cycle(_CycleIndex(entries), compact=True) == expected, sorted(entries)
+        kinds.add(None if expected is None else expected[1])
+    assert kinds == {None, "pair", "unit-chain"}
 
 
 def test_triangle_reads_no_list_below_its_source():
     # each source reads its own list and the lists of vertices above it;
-    # with odd parity and no opposite pair its walk is the first three-edge
-    # walk of a breadth-first search over every source
+    # with no opposite pair its walk is the first three-edge walk of a
+    # breadth-first search over every source
     scanning, reads = [], []  # sources in scan order; (source, key) per list read
 
     class Reads(dict):
@@ -599,24 +584,23 @@ def test_triangle_reads_no_list_below_its_source():
     for entries in _random_entry_sets(303, 300):
         cover = _CycleIndex(entries).cover
         sources = [key >> 1 for key in sorted(cover) if not key & 1]
-        for parity in (0, 1):
-            scanning.clear()
-            reads.clear()
-            walk = _triangle(Reads(cover), tracked(sources), parity)
-            assert all(key >> 1 >= s for s, key in reads), (sorted(entries), parity)
-            skipped += sum(key >> 1 < s for s in scanning for key in cover[2 * s])
-            if walk is not None:
-                hits += 1
-                assert walk[0][0] == scanning[-1]
-                assert [(u, v) for u, v, _ in walk] == [
-                    (walk[0][0], walk[1][0]), (walk[1][0], walk[2][0]), (walk[2][0], walk[0][0])
-                ]
-                assert sum(p for _, _, p in walk) % 2 == parity
-            if parity and not _reference_opposite_pair(entries):
-                adj = _reference_adjacency(entries)
-                three = (_reference_bfs_odd_walk(adj, s) for s in sorted(adj))
-                expected = next((w for w in three if w is not None and len(w) == 3), None)
-                assert walk == expected, sorted(entries)
+        scanning.clear()
+        reads.clear()
+        walk = _triangle(Reads(cover), tracked(sources))
+        assert all(key >> 1 >= s for s, key in reads), sorted(entries)
+        skipped += sum(key >> 1 < s for s in scanning for key in cover[2 * s])
+        if walk is not None:
+            hits += 1
+            assert walk[0][0] == scanning[-1]
+            assert [(u, v) for u, v, _ in walk] == [
+                (walk[0][0], walk[1][0]), (walk[1][0], walk[2][0]), (walk[2][0], walk[0][0])
+            ]
+            assert sum(p for _, _, p in walk) % 2 == 1
+        if not _reference_opposite_pair(entries):
+            adj = _reference_adjacency(entries)
+            three = (_reference_bfs_odd_walk(adj, s) for s in sorted(adj))
+            expected = next((w for w in three if w is not None and len(w) == 3), None)
+            assert walk == expected, sorted(entries)
     assert skipped > 1000 and hits > 100
 
 
@@ -642,16 +626,6 @@ def test_cycle_index_tracks_opposite_pairs_through_any_sequence():
             assert index.cover == _CycleIndex(present).cover
             paired += bool(expected)
     assert paired > 500
-
-
-def test_compact_triangle_avoids_the_constant_node():
-    entries = {xor([1], 0): F(1), xor([2], 0): F(1), xor([1, 2], 0): F(1)}
-    assert _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=1) is None
-    entries.update({xor([2, 3], 0): F(1), xor([1, 3], 0): F(1)})
-    assert _next_cycle(_CycleIndex(entries), compact=True, triangle_quota=1) == (
-        [xor([1, 2], 0), xor([2, 3], 0), xor([1, 3], 0)],
-        "triangle",
-    )
 
 
 def _full_depth_bfs_odd_walk(cover, source):
@@ -923,15 +897,23 @@ def test_saturate_properties_on_random_problems():
                 assert summary.bound_m >= capped.bound_m, (trial, r)
 
 
-def test_compact_mode_exercises_compact_rules():
-    # a parity-balanced triangle: contraction spends one compact step and one
-    # contradiction, for zero net bound but full weight bookkeeping
+def test_checker_accepts_the_compact_rules():
+    # a parity-balanced triangle, which the prover leaves alone: one compact
+    # step and one contradiction, for zero net bound but full bookkeeping
     items = [(xor([1, 2], 0), F(1)), (xor([2, 3], 0), F(1)), (xor([1, 3], 0), F(1))]
-    summary, steps = saturate(items, mode="compact")
-    assert any(s.rule.startswith("compact") for s in steps)
-    assert summary.offset_total > 0
-    assert summary.bound_m == summary.floor_total - summary.offset_total
+    steps = [
+        build_step("compact00", (xor([1, 2], 0), xor([2, 3], 0)), F(1), fresh_var=4),
+        build_step("contra", (xor([1, 3], 0), xor([1, 3], 1)), F(1)),
+    ]
+    verdict = check_proof(items, steps)
+    assert verdict.accepted, verdict.reason
+    summary = verdict.summary
+    assert (summary.bound_m, summary.offset_total) == (0, 1)
     assert summary.bound_m + _leftover_cost(summary) == brute_opt_cost_items(items).cost
+
+    flipped = steps[0]._replace(premises=(xor([1, 2], 1), xor([2, 3], 0)))
+    verdict = check_proof(items, [flipped, steps[1]])
+    assert not verdict.accepted and verdict.failing_step == 0
 
 
 def _random_wcnf(seed, n_vars, n_clauses, width):
@@ -952,28 +934,28 @@ def _random_wcnf(seed, n_vars, n_clauses, width):
 PROOF_LOG_DIGESTS = {
     ((1, 5, 21, 3), "discard"): "3fdd6cb5affc53bc",
     ((1, 5, 21, 3), "retranslate"): "3fdd6cb5affc53bc",
-    ((1, 5, 21, 3), "compact"): "a6617d86850f4a9c",
+    ((1, 5, 21, 3), "compact"): "693e164ef671027f",
     ((2, 6, 14, 3), "discard"): "273dc2df8c456d5a",
     ((2, 6, 14, 3), "retranslate"): "273dc2df8c456d5a",
     ((2, 6, 14, 3), "compact"): "5f5efe7c58c8500d",
     ((3, 5, 20, 2), "discard"): "6a8e2a2d6a4e3111",
     ((3, 5, 20, 2), "retranslate"): "6a8e2a2d6a4e3111",
-    ((3, 5, 20, 2), "compact"): "9f5e69fa4a0d8b4b",
+    ((3, 5, 20, 2), "compact"): "34f17740fb9ba76c",
     ((4, 6, 24, 2), "discard"): "134efb5c1de7fbbd",
     ((4, 6, 24, 2), "retranslate"): "134efb5c1de7fbbd",
     ((4, 6, 24, 2), "compact"): "134efb5c1de7fbbd",
     ((5, 4, 17, 3), "discard"): "e1628cbf54a5e661",
     ((5, 4, 17, 3), "retranslate"): "e1628cbf54a5e661",
-    ((5, 4, 17, 3), "compact"): "48e465a0bcc5cb43",
+    ((5, 4, 17, 3), "compact"): "4acdada1648b8c02",
     ((8, 5, 18, 3), "discard"): "3d0257201c4486eb",
     ((8, 5, 18, 3), "retranslate"): "d127de3e5693c0ca",
-    ((8, 5, 18, 3), "compact"): "386fc7e12d3f65b0",
+    ((8, 5, 18, 3), "compact"): "883f102573ae1122",
     ((11, 12, 51, 3), "discard"): "7a6f563a139ed96d",
     ((11, 12, 51, 3), "retranslate"): "7a6f563a139ed96d",
-    ((11, 12, 51, 3), "compact"): "b4103ec71d3e457d",
+    ((11, 12, 51, 3), "compact"): "8169a0c5b95fe505",
     ((12, 13, 55, 3), "discard"): "d503309dc0a3f2fb",
     ((12, 13, 55, 3), "retranslate"): "d503309dc0a3f2fb",
-    ((12, 13, 55, 3), "compact"): "c64dba15d6bb0cad",
+    ((12, 13, 55, 3), "compact"): "b9dca20598d81f8c",
 }
 
 
@@ -1011,11 +993,11 @@ def test_every_lookup_equals_one_on_a_fresh_index(monkeypatch):
         states.append(make(source))
         return states[-1]
 
-    def checked(index, compact=False, triangle_quota=0):
+    def checked(index, compact=False):
         _assert_index_matches(index, states[-1])
         fresh = _CycleIndex(states[-1].entry_units)
-        found = lookup(index, compact, triangle_quota)
-        assert found == lookup(fresh, compact, triangle_quota)
+        found = lookup(index, compact)
+        assert found == lookup(fresh, compact)
         kinds[None if found is None else found[1]] += 1
         return found
 
@@ -1027,7 +1009,7 @@ def test_every_lookup_equals_one_on_a_fresh_index(monkeypatch):
         problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
         for mode in MODES:
             saturate(problem, mode=mode)
-    assert set(kinds) == {None, "pair", "odd", "unit-chain", "triangle"}, kinds
+    assert set(kinds) == {None, "pair", "odd", "unit-chain"}, kinds
     assert sum(kinds.values()) > 1000, kinds
 
 
@@ -1176,21 +1158,24 @@ def _one_step_mutants(steps):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
-    # retranslation keeps its later rounds only where they pay
-    case = (8, 5, 18, 3) if mode == "retranslate" else (5, 4, 17, 3)
-    problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
-    summary, steps = saturate(problem, mode=mode)
-    assert check_proof(problem, steps, summary).accepted  # every sound shape is cached
+    # retranslation keeps its later rounds only where they pay; a compact
+    # proof fires only the four unit rules and contra, at most 20 mutants,
+    # so two proofs that fire all five pool their mutants
+    cases = {"retranslate": [(8, 5, 18, 3)], "compact": [(4, 6, 24, 2), (12, 13, 55, 3)]}
     warm = []
-    for index, mutant in _one_step_mutants(steps):
-        broken = list(steps)
-        broken[index] = mutant
-        warm.append((index, broken, check_proof(problem, broken, summary)))
+    for case in cases.get(mode, [(5, 4, 17, 3)]):
+        problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
+        summary, steps = saturate(problem, mode=mode)
+        assert check_proof(problem, steps, summary).accepted  # every sound shape is cached
+        for index, mutant in _one_step_mutants(steps):
+            broken = list(steps)
+            broken[index] = mutant
+            warm.append((problem, summary, index, broken, check_proof(problem, broken, summary)))
     assert len(warm) > 20
     if mode == "retranslate":
-        assert {"xlate2", "xlate3"} <= {steps[index].rule for index, _, _ in warm}
+        assert {"xlate2", "xlate3"} <= {broken[index].rule for _, _, index, broken, _ in warm}
     mutated_shape_hits = 0
-    for index, broken, verdict in warm:
+    for problem, summary, index, broken, verdict in warm:
         assert not verdict.accepted
         assert verdict.failing_step == index, (index, broken[index], verdict.reason)
         # a mutant that equals its canonical instance reaches the cached shape

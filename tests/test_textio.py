@@ -197,7 +197,10 @@ def test_emit_maxcut_rejects_nodes_outside_the_graph():
             emit_maxcut(graph)
 
 
-MALFORMED_CUT_AND_PROOF = [
+# more digits than Python converts between int and str (4,300 by default)
+HUGE = "9" * 5000
+
+MALFORMED_INTEGERS = [
     (parse_maxcut, "p cut x 1\n", 1),
     (parse_maxcut, "p cut 2 y\n", 1),
     (parse_maxcut, "p cut 2 1\nc anchor0 q\ne 1 2 1/1\n", 2),
@@ -206,13 +209,18 @@ MALFORMED_CUT_AND_PROOF = [
     (parse_maxcut, "p cut 2 1\ne 1 b 1/1\n", 2),
     (parse_proof, "s contra w 1 y z | 1 = 0; 1 = 1\n", 1),
     (parse_proof, "c first\ns compact00 w 1/1 y 4x | 1 2 = 0; 1 3 = 0\n", 2),
+    (parse_cnf, f"c big\np cnf {HUGE} 1\n1 0\n", 2),
+    (parse_cnf, f"p wcnf 1 1 {HUGE}\n1 1 0\n", 1),
+    (parse_x2x, f"p x2x 2\n1/1 1 {HUGE} = 0\n", 2),
+    (parse_proof, f"s contra w 1/1 | {HUGE} = 0; {HUGE} = 1\n", 1),
 ]
 
 
 @pytest.mark.parametrize(
     "parser,text,line",
-    MALFORMED_CUT_AND_PROOF,
-    ids=["nodes", "edges", "anchor0", "anchor1", "edge-u", "edge-v", "fresh", "fresh-line-2"],
+    MALFORMED_INTEGERS,
+    ids=["nodes", "edges", "anchor0", "anchor1", "edge-u", "edge-v", "fresh", "fresh-line-2",
+         "huge-cnf-count", "huge-top-weight", "huge-variable", "huge-premise"],
 )
 def test_malformed_integer_tokens_raise_parse_error(parser, text, line):
     with pytest.raises(ParseError) as err:
@@ -228,13 +236,17 @@ MALFORMED_RATIONALS = [
     (parse_x2x, "p x2x 2\nf one\n", 2, "floor 'one'"),
     (parse_x2x, "p x2x 2\nc\n1/1 1 = 0\nz 2 = 1\n", 4, "weight 'z'"),
     (parse_maxcut, "p cut 2 1\ne 1 2 1/0\n", 2, "edge weight '1/0'"),
+    (parse_proof, f"s contra w {HUGE}/2 | 1 = 0; 1 = 1\n", 1, f"applied weight '{HUGE}/2'"),
+    (parse_x2x, f"p x2x 2\nf {HUGE}\n", 2, f"floor '{HUGE}'"),
+    (parse_x2x, f"p x2x 2\n1/{HUGE} 1 = 0\n", 2, f"weight '1/{HUGE}'"),
 ]
 
 
 @pytest.mark.parametrize(
     "parser,text,line,message",
     MALFORMED_RATIONALS,
-    ids=["step-weight", "clause-item", "premise", "floor", "entry", "edge-weight"],
+    ids=["step-weight", "clause-item", "premise", "floor", "entry", "edge-weight",
+         "huge-step-weight", "huge-floor", "huge-denominator"],
 )
 def test_malformed_rational_tokens_raise_parse_error(parser, text, line, message):
     with pytest.raises(ParseError) as err:
