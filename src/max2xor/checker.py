@@ -15,6 +15,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple, Union
 from .core import Max2XorError, OrClause, X2XProblem, ZERO, format_rational
 from .rules import (
     RULES,
+    Derivation,
     PatternError,
     ProofStep,
     ProofSummary,
@@ -46,8 +47,8 @@ class CheckVerdict:
     stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def _truth_table_reason(step: ProofStep) -> Optional[str]:
-    """Exact unsatisfied-weight check of one step over all assignments.
+def _truth_table_reason(step: ProofStep, derived: Derivation) -> Optional[str]:
+    """Exact unsatisfied-weight check of one derived step over all assignments.
 
     Without a fresh variable the conclusions must over-count the premises by
     exactly ``offset`` pointwise; with one, by exactly ``offset`` at the best
@@ -56,9 +57,9 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
     exact Fractions with the premises at ``-weight``; the assignments of the
     variables other than the fresh one come in ``itertools.product`` order.
     """
-    items = [(p, -step.weight) for p in step.premises]
-    items += [(c, step.weight * m) for c, m in step.conclusions + step.residues]
-    fresh, offset = step.fresh_var, step.offset
+    items = [(p, -derived.weight) for p in step.premises]
+    items += [(c, derived.weight * m) for c, m in derived.conclusions + derived.residues]
+    fresh, offset = step.fresh_var, derived.offset
     variables = set()
     for c, _ in items:
         variables.update(c.variables() if isinstance(c, OrClause) else c.vars)
@@ -74,10 +75,9 @@ def _truth_table_reason(step: ProofStep) -> Optional[str]:
     return None
 
 
-# Shapes of steps that equal their canonical instance and passed the truth
-# table, shared by every check_proof call in the process.  Rejections are
-# never stored, so a failing step always runs its table and its message
-# quotes the real weights and assignment.
+# Shapes of steps that passed the truth table, shared by every check_proof
+# call in the process.  Rejections are never stored, so a failing step
+# always runs its table and its message quotes the real weights and assignment.
 _ACCEPTED_SHAPES: Set[object] = set()
 
 # By the id of a ``RULES`` row object: the row, kept alive so that its id is
@@ -87,11 +87,11 @@ _ROW_VALUES: Dict[tuple, int] = {}
 
 
 def _step_shape(step: ProofStep) -> object:
-    """A canonical step's ``RULES`` row, by the number of its value, plus its
+    """A derived step's ``RULES`` row, by the number of its value, plus its
     literal signs for a clause premise: at most 11 + 4 + 8 = 23 keys.
 
     Steps with one key have one truth table up to renaming and scale:
-    only a step equal to :func:`build_step`'s canonical instance is tabled;
+    every step is tabled with the derivation :func:`build_step` gives it;
     :func:`_premise_terms` fixes each form's premise pattern and parities;
     the premises' variables are distinct by the ``XorConstraint`` and
     ``OrClause`` invariants, and :func:`build_step` requires the fresh
@@ -110,14 +110,9 @@ def _step_shape(step: ProofStep) -> object:
 
 
 def _derived_rounds(steps: Sequence[ProofStep]) -> int:
-    rounds = 1
-    previous_was_xlate = False
-    for step in steps:
-        is_xlate = RULES[step.rule].form == "clause"
-        if is_xlate and not previous_was_xlate:
-            rounds += 1
-        previous_was_xlate = is_xlate
-    return rounds
+    """One, plus one per run of retranslation steps, which opens a round."""
+    xlate = [RULES[step.rule].form == "clause" for step in steps]
+    return 1 + sum(x and not y for x, y in zip(xlate, [False] + xlate))
 
 
 def check_proof(
@@ -127,10 +122,10 @@ def check_proof(
 ) -> CheckVerdict:
     """Replay a proof against the input, re-verifying every step.
 
-    Each step is checked for rule-pattern fidelity (the step must equal the
-    canonical instance the rule produces from its premises) and exact
-    unsatisfied-weight preservation by truth table, then applied through the
-    engine's own replay routine, which checks the weight protocol (the
+    Each step is derived once by :func:`build_step`, which checks that its
+    premises fit its rule, then checked for exact unsatisfied-weight
+    preservation by truth table and applied, with its derivation, through
+    the engine's own replay routine, which checks the weight protocol (the
     applied weight equals the smaller premise weight) and the freshness of
     introduced variables.  Accepts, or pinpoints the first failing step.
 
@@ -144,24 +139,17 @@ def check_proof(
     state = make_state(source)
     for index, step in enumerate(steps):
         try:
-            expected = build_step(step.rule, step.premises, step.weight, step.fresh_var)
-            if expected != step:
-                raise PatternError(
-                    f"step is not the canonical {step.rule} instance of its premises"
-                )
-            # from here on the canonical instance, whose rationals are
-            # Fractions even when a hand-built step that equals it holds
-            # ints or floats
-            shape = _step_shape(expected)
+            derivation = build_step(step.rule, step.premises, step.weight, step.fresh_var)
+            shape = _step_shape(step)
             if shape in _ACCEPTED_SHAPES:
                 stats["shape_hits"] += 1
             else:
                 stats["truth_tables"] += 1
-                table_reason = _truth_table_reason(expected)
+                table_reason = _truth_table_reason(step, derivation)
                 if table_reason is not None:
                     raise PatternError(f"truth table: {table_reason}")
                 _ACCEPTED_SHAPES.add(shape)
-            _replay_step(state, expected)
+            _replay_step(state, step, derivation)
         except Max2XorError as exc:
             return CheckVerdict(False, failing_step=index, reason=str(exc), stats=stats)
 

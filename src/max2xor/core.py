@@ -328,10 +328,21 @@ def evaluate(problem: X2XProblem, assignment: Assignment) -> EvalResult:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a rational as ``num/den``, always with an explicit denominator."""
+    """Serialize a rational as ``num/den``, always with an explicit denominator.
+
+    Past the interpreter's int conversion limit it raises ``Max2XorError``:
+    a shorter text would not read back as the value.
+    """
     if type(value) is not Fraction:
         value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # more digits than the interpreter converts
+        from decimal import Decimal  # counts them without writing them out
+
+        n, part = max((abs(value.numerator), "numerator"), (value.denominator, "denominator"))
+        digits = Decimal(n).adjusted() + 1
+        raise Max2XorError(f"cannot write a rational whose {part} has {digits} digits") from None
 
 
 _RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -95,13 +95,9 @@ class _CycleIndex:
                 if not key & 1:
                     del self.sources[bisect_left(self.sources, key >> 1)]
 
-    def follow(self, steps: Iterable[ProofStep], entries: Entries) -> None:
-        """Catch up with ``steps``, replayed into ``entries``: each constraint
-        they name leaves if used up and joins if new, in any order."""
-        touched: Set[object] = set()
-        for step in steps:
-            touched.update(step.premises)
-            touched.update([c for c, _ in step.conclusions])
+    def follow(self, touched: Iterable[object], entries: Entries) -> None:
+        """Catch up with steps replayed into ``entries``, given ``touched``, their premises
+        and conclusions: each leaves if used up and joins if new, in any order."""
         for item in touched:
             if type(item) is XorConstraint and item[0] and (item in entries) != self.has(*item):
                 (self.add if item in entries else self.discard)(item)
@@ -367,10 +363,13 @@ def _attains_bound(state: ProofState, index: _CycleIndex) -> bool:
 
 
 def _combine(acc: XorConstraint, edge: XorConstraint):
-    """Rule id and ordered premises for one contraction step."""
+    """Rule id and ordered premises for one contraction step: ``contra`` for
+    the closing edge, the one on the accumulator's variables."""
+    first, second = (acc, edge) if acc.parity <= edge.parity else (edge, acc)
+    if acc.vars == edge.vars:
+        return "contra", (first, second)
     if acc.arity == 1:
         return f"unit{acc.parity}{edge.parity}", (acc, edge)
-    first, second = (acc, edge) if acc.parity <= edge.parity else (edge, acc)
     return f"chain{first.parity}{second.parity}", (first, second)
 
 
@@ -381,20 +380,17 @@ def _contract_cycle(
     steps: List[ProofStep],
     fraction: Callable[[int], Fraction],
 ) -> int:
-    units, first = state.entry_units, len(steps)
+    units = state.entry_units
+    touched = list(cycle)  # and the accumulators: every premise and conclusion
     acc = cycle[0]
-    for edge in cycle[1:-1]:
+    for edge in cycle[1:]:
         rule, premises = _combine(acc, edge)
         weight = fraction(min(units[premises[0]], units[premises[1]]))
-        _, step = apply_rule(state, rule, premises, weight)
+        step, derived = apply_rule(state, rule, premises, weight)
         steps.append(step)
-        acc = step.conclusions[0][0]
-    closing = cycle[-1]
-    premises = (acc, closing) if acc.parity == 0 else (closing, acc)
-    weight = fraction(min(units[premises[0]], units[premises[1]]))
-    _, step = apply_rule(state, "contra", premises, weight)
-    steps.append(step)
-    index.follow(steps[first:], units)
+        acc = derived.conclusions[0][0]
+        touched.append(acc)
+    index.follow(touched, units)
     return len(cycle) - 1
 
 
@@ -440,12 +436,14 @@ def saturate(
     while True:
         rounds += 1
         if rounds > 1:
-            first = len(steps)
+            touched = []  # the conclusions: the premises are clauses
             for cl in sorted(state.residue_units):
                 if cl.k in (2, 3):
                     weight = fraction(state.residue_units[cl])
-                    steps.append(apply_rule(state, f"xlate{cl.k}", (cl,), weight, alloc)[1])
-            index.follow(steps[first:], state.entry_units)
+                    step, derived = apply_rule(state, f"xlate{cl.k}", (cl,), weight, alloc)
+                    steps.append(step)
+                    touched += [c for c, _ in derived.conclusions]
+            index.follow(touched, state.entry_units)
         budget = len(state.entry_units)
         used = 0
         while True:

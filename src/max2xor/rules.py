@@ -6,13 +6,13 @@ pointwise; the contradiction rule turns an opposite-parity pair into empty
 clause weight.  Derived empty-clause weight m certifies that the problem's
 cost is at least m.
 
-All 13 rules are rows of one table, ``RULES``, and :func:`build_step` builds
-every step from its row, for the prover, the proof reader and the checker
-alike.  Compact rules replace the residue clauses of a chain step by three
-parity constraints on a fresh variable; retranslation steps (``xlate2``,
-``xlate3``) turn a residue clause back into parity constraints through its
-clause translation.  Both over-count the unsatisfied weight by an exact
-``offset`` per step, which is subtracted from the usable bound.
+All 13 rules are rows of one table, ``RULES``; a step holds what its log
+line holds, and :func:`build_step` derives the rest from its row, for the
+prover and the checker alike.  Compact rules replace the residue clauses of a
+chain step by three parity constraints on a fresh variable; retranslation
+steps (``xlate2``, ``xlate3``) turn a residue clause back into parity
+constraints through its clause translation.  Both over-count the unsatisfied
+weight by an exact ``offset`` per step, subtracted from the usable bound.
 
 Weighted application protocol: every premise must be present in the pool
 its form names (the residues for a clause, the entries otherwise), and a
@@ -58,21 +58,26 @@ class PatternError(Max2XorError):
 
 
 class ProofStep(NamedTuple):
-    """One replayable rule application.
-
-    ``premises`` are consumed at ``weight`` each; conclusions and residues
-    are added at ``weight`` times their multiplier.  ``offset`` is the exact
-    amount by which the conclusions over-count the unsatisfied weight (0 for
-    the plain rules).  Change a copy with ``step._replace(...)``.
+    """One rule application, as its proof log line records it: ``premises``
+    are consumed at ``weight`` each, and ``fresh_var`` is the variable the
+    step introduces.  Change a copy with ``step._replace(...)``.
     """
 
     rule: str
     weight: Fraction
     premises: Tuple[object, ...]
-    conclusions: Tuple[Tuple[XorConstraint, Fraction], ...]
-    residues: Tuple[Tuple[OrClause, Fraction], ...] = ()
-    offset: Fraction = ZERO
     fresh_var: Optional[int] = None
+
+
+class Derivation(NamedTuple):
+    """What :func:`build_step` derives from a step: its checked ``weight``, the
+    conclusions and residues, added at ``weight`` times their multiplier, and
+    the exact ``offset`` by which they over-count the unsatisfied weight."""
+
+    weight: Fraction
+    conclusions: Tuple[Tuple[XorConstraint, Fraction], ...]
+    residues: Tuple[Tuple[OrClause, Fraction], ...]
+    offset: Fraction
 
 
 @dataclass
@@ -175,8 +180,8 @@ def _rule(form: str, premise, conclusions, residues, offset) -> Rule:
 # pairs on y in place of the residues, overshooting by the applied weight.
 # The xlate rules are ``binary_gadget`` and ``sequential_gadget`` anchored
 # at the constant one.  A row fixes a step's conclusions, residues and offset
-# from its premises, weight and fresh variable, so a proof log records only
-# those and ``textio.parse_proof`` rebuilds each step with :func:`build_step`.
+# from its premises, weight and fresh variable, so a proof step holds only
+# those, and :func:`build_step` derives the rest.
 RULES: Dict[str, Rule] = {
     rule: _rule(*row)
     for rule, row in {
@@ -252,8 +257,8 @@ def build_step(
     premises: Tuple[object, ...],
     weight: Fraction,
     fresh_var: Optional[int] = None,
-) -> ProofStep:
-    """Construct the canonical step for a rule instance; raises on bad patterns."""
+) -> Derivation:
+    """Derive a rule instance's conclusions, residues and offset; raises on bad patterns."""
     spec = RULES.get(rule)
     if spec is None:
         raise PatternError(f"unknown rule id {rule!r}")
@@ -284,9 +289,7 @@ def build_step(
         for lits, multiplier in spec.residues
     ]
     offset = weight * spec.offset if spec.offset else ZERO
-    return ProofStep(
-        rule, weight, tuple(premises), tuple(conclusions), tuple(residues), offset, fresh_var
-    )
+    return Derivation(weight, tuple(conclusions), tuple(residues), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +306,9 @@ def _times(units: int, factor: Fraction, scale: int) -> int:
     return product
 
 
-def _replay_step(state: ProofState, step: ProofStep) -> None:
-    """Apply a built step after checking its weights and its fresh variable.
-
-    The prover and the checker both change a state only through here.
+def _replay_step(state: ProofState, step: ProofStep, derived: Derivation) -> None:
+    """Apply a step and its derivation after checking its weights and its
+    fresh variable.  The prover and the checker both change a state only here.
     """
     scale, entries = state.scale, state.entry_units
     pool = state.residue_units if RULES[step.rule].form == "clause" else entries
@@ -317,11 +319,11 @@ def _replay_step(state: ProofState, step: ProofStep) -> None:
             raise RuleApplicationError(f"{step.rule} premise {premise} not present")
         if lightest is None or present < lightest:
             lightest = present
-    per, rest = divmod(scale, step.weight.denominator)
-    weight = None if rest else step.weight.numerator * per  # off the grid: no premise weight
+    per, rest = divmod(scale, derived.weight.denominator)
+    weight = None if rest else derived.weight.numerator * per  # off the grid: no premise weight
     if weight != lightest:
         raise RuleApplicationError(
-            f"applied weight {step.weight} must equal the lightest premise weight "
+            f"applied weight {derived.weight} must equal the lightest premise weight "
             f"{Fraction(lightest, scale)} (one premise is consumed entirely)"
         )
     fresh = step.fresh_var
@@ -334,16 +336,16 @@ def _replay_step(state: ProofState, step: ProofStep) -> None:
         else:
             pool[premise] = remaining
     # conclusions name only the premises' variables and the fresh one
-    for constraint, multiplier in step.conclusions:
+    for constraint, multiplier in derived.conclusions:
         added = _times(weight, multiplier, scale)
         if constraint == EMPTY_CLAUSE:
             state.floor_units += added
         else:
             entries[constraint] = entries.get(constraint, 0) + added
-    for cl, multiplier in step.residues:
+    for cl, multiplier in derived.residues:
         state.residue_units[cl] = state.residue_units.get(cl, 0) + _times(weight, multiplier, scale)
-    if step.offset:
-        state.offset_units += _times(scale, step.offset, scale)
+    if derived.offset:
+        state.offset_units += _times(scale, derived.offset, scale)
     if fresh is not None:
         state.seen_vars.add(fresh)
 
@@ -354,8 +356,8 @@ def apply_rule(
     premises: Tuple[object, ...],
     weight: Fraction,
     alloc=None,
-) -> Tuple[ProofState, ProofStep]:
-    """Fire one rule against the state; returns the mutated state and step.
+) -> Tuple[ProofStep, Derivation]:
+    """Fire one rule against the state; returns the step and its derivation.
 
     Rules that introduce a variable (the compact rules and ``xlate3``) draw
     it from ``alloc``, a :class:`~max2xor.core.VarAllocator`, which only
@@ -365,11 +367,12 @@ def apply_rule(
     if takes_fresh and alloc is None:
         raise PatternError(f"{rule} needs a variable allocator")
     fresh_var = alloc.next_id if takes_fresh else None
-    step = build_step(rule, tuple(premises), weight, fresh_var)
-    _replay_step(state, step)
+    derived = build_step(rule, premises, weight, fresh_var)
+    step = ProofStep(rule, derived.weight, tuple(premises), fresh_var)
+    _replay_step(state, step, derived)
     if takes_fresh:
         alloc.fresh()
-    return state, step
+    return step, derived
 
 
 @dataclass

@@ -27,8 +27,8 @@ Formats (ASCII, newline-terminated lines):
     retranslation rules DIMACS clauses ``<lit>... 0``, separated by ``;``.
     Each premise is consumed at the applied weight ``w``.  The line holds no
     conclusions, residues or offset: the rule fixes them from the premises,
-    the weight and the fresh variable, so :func:`parse_proof` derives them
-    with :func:`~max2xor.rules.build_step`, as the checker does anyway.
+    the weight and the fresh variable, and the checker derives them with
+    :func:`~max2xor.rules.build_step`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .core import (
     normalize,
     parse_rational,
 )
-from .rules import RULES, PatternError, ProofStep, build_step
+from .rules import RULES, ProofStep
 
 # ---------------------------------------------------------------------------
 # Shared readers
@@ -388,10 +388,10 @@ def emit_proof(steps) -> str:
 
 
 def parse_proof(text: str):
-    """The steps of a proof log, each built by ``build_step`` from its line.
+    """The steps of a proof log, one per line, as the line records them.
 
-    A line whose premises do not fit its rule gives the step without
-    conclusions, which ``check_proof`` rejects with ``build_step``'s reason.
+    A line is read, not checked against its rule: ``check_proof`` rejects a
+    step whose premises do not fit it.
     """
     positive = _positive_memo()  # each applied-weight token read once per call
     steps = []
@@ -416,8 +416,5 @@ def parse_proof(text: str):
 
         read = _clause if RULES[rule].form == "clause" else _constraint
         premises = tuple([read(t, line_no) for t in map(str.split, parts[0].split(";")) if t])
-        try:
-            steps.append(build_step(rule, premises, weight, fresh_var))
-        except PatternError:
-            steps.append(ProofStep(rule, weight, premises, (), fresh_var=fresh_var))
+        steps.append(ProofStep(rule, weight, premises, fresh_var))
     return steps

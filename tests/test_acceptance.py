@@ -28,7 +28,7 @@ from max2xor.gadgets import (
 from max2xor.oracle import brute_opt_cost, brute_opt_cost_items, verify_gadget
 from max2xor.checker import bound_to_original, check_proof
 from max2xor.prover import saturate
-from max2xor.rules import build_step
+from max2xor.rules import RULES, build_step
 from max2xor.textio import parse_cnf
 
 F = Fraction
@@ -284,18 +284,20 @@ def _random_parity_problem(seed):
 
 
 def _tampered_variants(step):
-    variants = [step._replace(weight=step.weight * 2)]
-    head, mult = step.conclusions[0]
-    if head.vars:
-        flipped = XorConstraint(head.vars, head.parity ^ 1)
-        variants.append(step._replace(conclusions=((flipped, mult),) + step.conclusions[1:]))
-    if step.residues:
-        cl, rmult = step.residues[0]
-        variants.append(step._replace(residues=((cl, rmult + 1),) + step.residues[1:]))
+    """A step's head altered: its weight doubled or halved, each other rule id
+    of its form, its first premise flipped, a fresh variable added or dropped."""
+    variants = [step._replace(weight=step.weight * 2), step._replace(weight=step.weight / 2)]
+    form = RULES[step.rule].form
+    variants += [
+        step._replace(rule=rule)
+        for rule, row in RULES.items()
+        if row.form == form and rule != step.rule
+    ]
     premise = step.premises[0]
     if isinstance(premise, XorConstraint):
         flipped = XorConstraint(premise.vars, premise.parity ^ 1)
         variants.append(step._replace(premises=(flipped,) + step.premises[1:]))
+    variants.append(step._replace(fresh_var=None if step.fresh_var else 10**6))
     return variants
 
 

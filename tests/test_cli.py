@@ -160,7 +160,7 @@ def test_check_rejects_corrupted_proof(tmp_path):
 
 def test_check_rejects_a_tampered_rule_for_the_checker_reason(tmp_path):
     code, output = _tampered_triangle_check(tmp_path, "s chain11 ", "s chain01 ")
-    step = ProofStep("chain01", F(1), (xor([1, 2], 1), xor([2, 3], 1)), ())
+    step = ProofStep("chain01", F(1), (xor([1, 2], 1), xor([2, 3], 1)))
     verdict = check_proof(TRIANGLE, [step])
     assert verdict.reason == "chain01 premises must have parities 0/1"
     assert (code, output) == (EXIT_REJECTED, f"REJECTED at step 0: {verdict.reason}\n")
@@ -368,6 +368,7 @@ from pathlib import Path
 from max2xor import (GadgetParams, binary_gadget, bound_to_original, brute_opt_cost,
                      check_proof, checker, clause, cli, compile_maxsat, to_maxcut, verify_gadget, xor)
 from max2xor.prover import MODES, saturate
+from max2xor.rules import build_step
 from max2xor.textio import emit_proof, emit_x2x, parse_cnf, parse_proof, parse_x2x
 
 tmp = Path(sys.argv[1])
@@ -378,12 +379,16 @@ for mode in MODES:
     steps = parse_proof(emit_proof(steps))
     assert check_proof(problem, steps, summary).accepted, mode
     assert bound_to_original(summary, report).message == "UNKNOWN lb=0/1"
-# one altered step: its truth table runs and fails, and the checker rejects it
-constraint, mult = steps[0].conclusions[0]
+# one altered derivation: its truth table runs and fails
+step = steps[0]
+derived = build_step(step.rule, step.premises, step.weight, step.fresh_var)
+constraint, mult = derived.conclusions[0]
 flipped = (xor(constraint.vars, constraint.parity ^ 1), mult)
-altered = steps[0]._replace(conclusions=(flipped,) + steps[0].conclusions[1:])
-assert checker._truth_table_reason(altered).startswith("unsatisfied weight changes by ")
-assert not check_proof(problem, [altered] + steps[1:], summary).accepted
+altered = derived._replace(conclusions=(flipped,) + derived.conclusions[1:])
+assert checker._truth_table_reason(step, altered).startswith("unsatisfied weight changes by ")
+# one altered step: the checker rejects it
+doubled = step._replace(weight=step.weight * 2)
+assert not check_proof(problem, [doubled] + steps[1:], summary).accepted
 assert to_maxcut(problem).node_count == 10
 x2x, proof = str(tmp / "small.x2x"), str(tmp / "small.x2xproof")
 for argv in (["compile", str(tmp / "small.cnf"), "-o", x2x], ["bound", x2x, "-o", proof],
@@ -519,6 +524,26 @@ def test_integer_tokens_over_the_digit_limit_are_parse_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert (code, out) == (EXIT_ERROR, ""), argv
         assert err.startswith("error: line ") and "Traceback" not in err, argv
+
+
+def test_rationals_over_the_digit_limit_are_errors(tmp_path, capsys):
+    # every token is under the limit, but the floor they cancel into has a
+    # 7,999-digit denominator, which no command can print
+    tens, threes = "1" + "0" * 3999, "3" * 3999 + "7"
+    problem = tmp_path / "digits.x2x"
+    problem.write_text(
+        f"p x2x 2\n1/{tens} 1 = 0\n1/{tens} 1 = 1\n1/{threes} 2 = 0\n1/{threes} 2 = 1\n"
+    )
+    (tmp_path / "empty.x2xproof").write_text("")
+    for argv in (
+        ("bound", str(problem), "-o", str(tmp_path / "digits.x2xproof")),
+        ("check", str(problem), str(tmp_path / "empty.x2xproof")),
+        ("oracle", str(problem)),
+    ):
+        code, _ = invoke(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR, argv
+        assert err == "error: cannot write a rational whose denominator has 7999 digits\n", argv
 
 
 def test_bound_rejects_bad_round_counts(tmp_path, capsys):

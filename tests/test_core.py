@@ -15,6 +15,7 @@ from max2xor.core import (
     IncompleteAssignmentError,
     InvalidClauseError,
     InvalidWeightError,
+    Max2XorError,
     OrClause,
     X2XProblem,
     XorConstraint,
@@ -264,6 +265,24 @@ def test_rational_round_trip():
     assert format_rational(F(4)) == "4/1"
     assert parse_rational("17/2") == F(17, 2)
     assert parse_rational("-3/4") == F(-3, 4)
+
+
+def test_format_rational_over_the_digit_limit_names_the_digit_count():
+    # Python converts at most 4,300 digits between int and str by default.
+    # Two opposite pairs at weights 1/10^3999 and 1/(3...37), 4,000 digits
+    # each, cancel into a floor whose denominator has 7,999 digits; the
+    # text is refused, not shortened, so no written value reads back wrong
+    tens, threes = 10**3999, int("3" * 3999 + "7")
+    raw = [(xor([1], p), F(1, tens)) for p in (0, 1)]
+    raw += [(xor([2], p), F(1, threes)) for p in (0, 1)]
+    problem = normalize(raw, var_count=2)
+    assert problem.entries == {} and problem.floor == F(1, tens) + F(1, threes)
+    with pytest.raises(Max2XorError) as caught:
+        format_rational(problem.floor)
+    assert str(caught.value) == "cannot write a rational whose denominator has 7999 digits"
+    with pytest.raises(Max2XorError) as caught:
+        format_rational(F(-(10**5000), 3))
+    assert str(caught.value) == "cannot write a rational whose numerator has 5001 digits"
 
 
 # Every invalid shape with its exact exception class and message; valid

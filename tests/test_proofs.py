@@ -22,7 +22,7 @@ from max2xor.core import (
     normalize,
     xor,
 )
-from max2xor import checker, prover, rules
+from max2xor import checker, prover, rules, textio
 from max2xor.checker import ProvenanceError, bound_to_original, check_proof
 from max2xor.gadgets import (
     VarAllocator,
@@ -44,6 +44,7 @@ from max2xor.prover import (
 )
 from max2xor.rules import (
     PatternError,
+    ProofStep,
     RuleApplicationError,
     _replay_step,
     apply_rule,
@@ -157,21 +158,22 @@ def _weights(units, scale):
 
 def test_contra_decomposition_protocol():
     state = make_state([(xor([1, 2], 0), F(3)), (xor([1, 2], 1), F(2))])
-    _, step = apply_rule(state, "contra", (xor([1, 2], 0), xor([1, 2], 1)), F(2))
+    step, derived = apply_rule(state, "contra", (xor([1, 2], 0), xor([1, 2], 1)), F(2))
     assert F(state.floor_units, state.scale) == F(2)
     assert _weights(state.entry_units, state.scale) == {xor([1, 2], 0): F(1)}
-    assert step.conclusions == ((EMPTY_CLAUSE, F(1)),)
+    assert step == ProofStep("contra", F(2), (xor([1, 2], 0), xor([1, 2], 1)))
+    assert derived.conclusions == ((EMPTY_CLAUSE, F(1)),)
 
 
 def test_chain00_example():
     state = make_state([(xor([1, 2], 0), F(1)), (xor([1, 3], 0), F(1))])
-    _, step = apply_rule(state, "chain00", (xor([1, 2], 0), xor([1, 3], 0)), F(1))
+    _, derived = apply_rule(state, "chain00", (xor([1, 2], 0), xor([1, 3], 0)), F(1))
     assert _weights(state.entry_units, state.scale) == {xor([2, 3], 0): F(1)}
     assert _weights(state.residue_units, state.scale) == {
         clause(1, -2, -3): F(2),
         clause(-1, 2, 3): F(2),
     }
-    assert step.residues == ((clause(1, -2, -3), F(2)), (clause(-1, 2, 3), F(2)))
+    assert derived.residues == ((clause(1, -2, -3), F(2)), (clause(-1, 2, 3), F(2)))
 
 
 def test_unit10_example():
@@ -239,7 +241,7 @@ def test_protocol_error_messages_quote_rationals(rule, premises, weight, error, 
     assert type(caught.value) is error
     assert str(caught.value) == message
     # the checker reports the same text at the step's index
-    step = build_step(rule, premises, weight, 4 if rule == "compact00" else None)
+    step = ProofStep(rule, weight, premises, 4 if rule == "compact00" else None)
     state = _halves_and_thirds()
     items = list(_weights(state.entry_units, state.scale).items())
     verdict = check_proof(items, [step])
@@ -256,7 +258,7 @@ def test_rules_without_fresh_variable_reject_one(rule, premises):
         build_step(rule, premises, F(1), fresh_var=5)
     if rule == "contra" or rule.startswith("unit"):
         # a logged step that carries one fails at its own index
-        step = build_step(rule, premises, F(1))._replace(fresh_var=5)
+        step = ProofStep(rule, F(1), premises, fresh_var=5)
         items = [(xor([3], 0), F(1))] + [(p, F(1)) for p in premises]
         verdict = check_proof(items, [step], None)
         assert not verdict.accepted
@@ -267,8 +269,8 @@ def test_rules_without_fresh_variable_reject_one(rule, premises):
 def test_apply_compact_rule_scaling():
     state = make_state([(xor([1, 2], 0), H), (xor([1, 3], 0), H)])
     alloc = VarAllocator(4)
-    _, step = apply_rule(state, "compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, alloc)
-    assert step.offset == H
+    step, derived = apply_rule(state, "compact00", (xor([1, 2], 0), xor([1, 3], 0)), H, alloc)
+    assert derived.offset == H
     assert F(state.offset_units, state.scale) == H
     assert F(state.entry_units[xor([1, 4], 0)], state.scale) == F(1)  # 2 * 1/2
     assert F(state.entry_units[xor([2, 3], 1)], state.scale) == H
@@ -902,8 +904,8 @@ def test_checker_accepts_the_compact_rules():
     # step and one contradiction, for zero net bound but full bookkeeping
     items = [(xor([1, 2], 0), F(1)), (xor([2, 3], 0), F(1)), (xor([1, 3], 0), F(1))]
     steps = [
-        build_step("compact00", (xor([1, 2], 0), xor([2, 3], 0)), F(1), fresh_var=4),
-        build_step("contra", (xor([1, 3], 0), xor([1, 3], 1)), F(1)),
+        ProofStep("compact00", F(1), (xor([1, 2], 0), xor([2, 3], 0)), fresh_var=4),
+        ProofStep("contra", F(1), (xor([1, 3], 0), xor([1, 3], 1))),
     ]
     verdict = check_proof(items, steps)
     assert verdict.accepted, verdict.reason
@@ -927,35 +929,35 @@ def _random_wcnf(seed, n_vars, n_clauses, width):
     return "\n".join(lines) + "\n"
 
 
-# SHA-256 prefixes of "<bound_m>\n<repr(steps)>" from the full-depth,
+# SHA-256 prefixes of "<bound_m>\n<emit_proof(steps)>" from the full-depth,
 # every-source cycle search; the early-stopping search must reproduce them.
 # Retranslation pays only on (8, 5, 18, 3); on the others it keeps round one
 # alone, so their retranslate digests equal their discard digests.
 PROOF_LOG_DIGESTS = {
-    ((1, 5, 21, 3), "discard"): "3fdd6cb5affc53bc",
-    ((1, 5, 21, 3), "retranslate"): "3fdd6cb5affc53bc",
-    ((1, 5, 21, 3), "compact"): "693e164ef671027f",
-    ((2, 6, 14, 3), "discard"): "273dc2df8c456d5a",
-    ((2, 6, 14, 3), "retranslate"): "273dc2df8c456d5a",
-    ((2, 6, 14, 3), "compact"): "5f5efe7c58c8500d",
-    ((3, 5, 20, 2), "discard"): "6a8e2a2d6a4e3111",
-    ((3, 5, 20, 2), "retranslate"): "6a8e2a2d6a4e3111",
-    ((3, 5, 20, 2), "compact"): "34f17740fb9ba76c",
-    ((4, 6, 24, 2), "discard"): "134efb5c1de7fbbd",
-    ((4, 6, 24, 2), "retranslate"): "134efb5c1de7fbbd",
-    ((4, 6, 24, 2), "compact"): "134efb5c1de7fbbd",
-    ((5, 4, 17, 3), "discard"): "e1628cbf54a5e661",
-    ((5, 4, 17, 3), "retranslate"): "e1628cbf54a5e661",
-    ((5, 4, 17, 3), "compact"): "4acdada1648b8c02",
-    ((8, 5, 18, 3), "discard"): "3d0257201c4486eb",
-    ((8, 5, 18, 3), "retranslate"): "d127de3e5693c0ca",
-    ((8, 5, 18, 3), "compact"): "883f102573ae1122",
-    ((11, 12, 51, 3), "discard"): "7a6f563a139ed96d",
-    ((11, 12, 51, 3), "retranslate"): "7a6f563a139ed96d",
-    ((11, 12, 51, 3), "compact"): "8169a0c5b95fe505",
-    ((12, 13, 55, 3), "discard"): "d503309dc0a3f2fb",
-    ((12, 13, 55, 3), "retranslate"): "d503309dc0a3f2fb",
-    ((12, 13, 55, 3), "compact"): "b9dca20598d81f8c",
+    ((1, 5, 21, 3), "discard"): "4eab16757803bbbe",
+    ((1, 5, 21, 3), "retranslate"): "4eab16757803bbbe",
+    ((1, 5, 21, 3), "compact"): "178f881e17119180",
+    ((2, 6, 14, 3), "discard"): "3fb47bc4030a81fe",
+    ((2, 6, 14, 3), "retranslate"): "3fb47bc4030a81fe",
+    ((2, 6, 14, 3), "compact"): "7480f4a287672d00",
+    ((3, 5, 20, 2), "discard"): "39f032785ed181eb",
+    ((3, 5, 20, 2), "retranslate"): "39f032785ed181eb",
+    ((3, 5, 20, 2), "compact"): "2277a9075f517386",
+    ((4, 6, 24, 2), "discard"): "333cbf61fe8f3076",
+    ((4, 6, 24, 2), "retranslate"): "333cbf61fe8f3076",
+    ((4, 6, 24, 2), "compact"): "333cbf61fe8f3076",
+    ((5, 4, 17, 3), "discard"): "c943cd7a17b47dc6",
+    ((5, 4, 17, 3), "retranslate"): "c943cd7a17b47dc6",
+    ((5, 4, 17, 3), "compact"): "7714e6ff44851be4",
+    ((8, 5, 18, 3), "discard"): "6302f75a51d053e2",
+    ((8, 5, 18, 3), "retranslate"): "6823c611ffafa8ff",
+    ((8, 5, 18, 3), "compact"): "8ed373604382c647",
+    ((11, 12, 51, 3), "discard"): "fa32bb15f3f43c8e",
+    ((11, 12, 51, 3), "retranslate"): "fa32bb15f3f43c8e",
+    ((11, 12, 51, 3), "compact"): "e44205e970bddf90",
+    ((12, 13, 55, 3), "discard"): "9f87f96989edafb7",
+    ((12, 13, 55, 3), "retranslate"): "9f87f96989edafb7",
+    ((12, 13, 55, 3), "compact"): "ecfeed7a42d53ec9",
 }
 
 
@@ -969,7 +971,7 @@ def _assert_index_matches(index, state):
 def test_saturate_proof_logs_are_unchanged(case, mode):
     problem = compile_maxsat(parse_cnf(_random_wcnf(*case))).problem
     summary, steps = saturate(problem, mode=mode)
-    text = f"{format_rational(summary.bound_m)}\n{steps!r}"
+    text = f"{format_rational(summary.bound_m)}\n{emit_proof(steps)}"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PROOF_LOG_DIGESTS[(case, mode)]
 
     # replay with an index kept beside the state as the prover keeps it; it
@@ -977,8 +979,9 @@ def test_saturate_proof_logs_are_unchanged(case, mode):
     state = make_state(problem)
     index = _CycleIndex(state.entry_units)
     for step in steps:
-        _replay_step(state, step)
-        index.follow([step], state.entry_units)
+        derived = build_step(step.rule, step.premises, step.weight, step.fresh_var)
+        _replay_step(state, step, derived)
+        index.follow([*step.premises, *(c for c, _ in derived.conclusions)], state.entry_units)
         _assert_index_matches(index, state)
     assert F(state.floor_units - state.offset_units, state.scale) == summary.bound_m
 
@@ -1046,11 +1049,13 @@ def test_checker_accepts_empty_proof():
 
 
 def test_checker_rejects_tampered_residue_weight():
+    # the chain step at half its weight, which would leave its residues at
+    # half their weight
     items = [(xor([1, 2], 0), F(1)), (xor([1, 3], 0), F(1)), (xor([2, 3], 1), F(1))]
     summary, steps = saturate(items)
     chain_index = next(i for i, s in enumerate(steps) if s.rule.startswith("chain"))
     step = steps[chain_index]
-    tampered = step._replace(residues=((step.residues[0][0], F(1)), step.residues[1]))
+    tampered = step._replace(weight=step.weight / 2)
     broken = list(steps)
     broken[chain_index] = tampered
     verdict = check_proof(items, broken, None)
@@ -1070,35 +1075,27 @@ def test_checker_rejects_tampered_fields_everywhere():
             mutations = [
                 step._replace(weight=step.weight * 2),
                 step._replace(weight=step.weight / 2),
-                step._replace(offset=step.offset + 1),
                 step._replace(fresh_var=1),  # variable 1 occurs in every input
             ]
+            sibling = _sibling_rule(step.rule)
+            if sibling is not None:
+                mutations.append(step._replace(rule=sibling))
             if step.fresh_var is not None:
-                # the canonical step on an input variable outside its premises,
-                # which only the freshness check rejects
+                mutations.append(step._replace(fresh_var=None))
+                # an input variable outside its premises, which only the
+                # freshness check rejects
                 premise_vars = set()
                 for p in step.premises:
                     premise_vars.update(p.vars if isinstance(p, XorConstraint) else p.variables())
                 stale = set(range(1, problem.var_count + 1)) - premise_vars
                 if stale:
-                    mutations.append(
-                        build_step(step.rule, step.premises, step.weight, fresh_var=min(stale))
-                    )
-            constraint, mult = step.conclusions[0]
-            if constraint.vars:
-                flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
-                mutations.append(
-                    step._replace(conclusions=((flipped, mult),) + step.conclusions[1:])
-                )
+                    mutations.append(step._replace(fresh_var=min(stale)))
             premise = step.premises[0]
             if isinstance(premise, XorConstraint):
                 flipped_premise = XorConstraint(premise.vars, premise.parity ^ 1)
                 mutations.append(
                     step._replace(premises=(flipped_premise,) + step.premises[1:])
                 )
-            if step.residues:
-                cl, mult = step.residues[0]
-                mutations.append(step._replace(residues=((cl, F(1)),) + step.residues[1:]))
             for mutant in mutations:
                 broken = list(steps)
                 broken[index] = mutant
@@ -1123,44 +1120,62 @@ def _verdict_key(verdict):
     return verdict.accepted, verdict.failing_step, verdict.reason
 
 
+def _sibling_rule(rule):
+    """The first other row of the rule's form with other premise parities
+    or clause width, or None (``contra`` has none)."""
+    spec = rules.RULES[rule]
+    return next(
+        (other for other, row in rules.RULES.items()
+         if row.form == spec.form and row.premise != spec.premise),
+        None,
+    )
+
+
 def _one_step_mutants(steps):
     """(index, mutant) pairs at the first step of each rule and the last step
-    that introduces a variable: a flipped conclusion parity, a doubled
-    weight, swapped premises, a reused fresh variable and an altered offset."""
+    that introduces a variable, each with its head altered: a sibling rule
+    id, a doubled or halved weight, a flipped first premise, swapped
+    premises, and a fresh variable added, dropped or reused."""
     first = {}
     for index, step in enumerate(steps):
         first.setdefault(step.rule, index)
     fresh = [index for index, step in enumerate(steps) if step.fresh_var is not None]
     for index in sorted(set(first.values()) | set(fresh[-1:])):
         step = steps[index]
-        constraint, mult = step.conclusions[0]
-        flipped = XorConstraint(constraint.vars, constraint.parity ^ 1)
-        yield index, step._replace(conclusions=((flipped, mult),) + step.conclusions[1:])
+        sibling = _sibling_rule(step.rule)
+        if sibling is not None:
+            yield index, step._replace(rule=sibling)
         yield index, step._replace(weight=step.weight * 2)
+        yield index, step._replace(weight=step.weight / 2)
+        premise = step.premises[0]
+        if isinstance(premise, XorConstraint):
+            flipped = XorConstraint(premise.vars, premise.parity ^ 1)
+            yield index, step._replace(premises=(flipped,) + step.premises[1:])
         if len(step.premises) == 2:
             p1, p2 = step.premises
             # swapping two premises of one arity and parity gives another
             # sound instance of the same rule, so only the others are mutants
             if (p1.arity, p1.parity) != (p2.arity, p2.parity):
                 yield index, step._replace(premises=(p2, p1))
-        if step.fresh_var is not None:
-            premise_vars = set()
-            for p in step.premises:
-                premise_vars.update(p.vars if isinstance(p, XorConstraint) else p.variables())
-            # the canonical step on an earlier step's fresh variable, which
-            # only the freshness check rejects
-            reusable = [steps[i].fresh_var for i in fresh if i < index]
-            reusable = [v for v in reusable if v not in premise_vars]
-            if reusable:
-                yield index, build_step(step.rule, step.premises, step.weight, reusable[-1])
-        yield index, step._replace(offset=step.offset + 1)
+        if step.fresh_var is None:
+            yield index, step._replace(fresh_var=10**6)  # new, on a rule that takes none
+            continue
+        yield index, step._replace(fresh_var=None)
+        premise_vars = set()
+        for p in step.premises:
+            premise_vars.update(p.vars if isinstance(p, XorConstraint) else p.variables())
+        # an earlier step's fresh variable, which only the freshness check rejects
+        reusable = [steps[i].fresh_var for i in fresh if i < index]
+        reusable = [v for v in reusable if v not in premise_vars]
+        if reusable:
+            yield index, step._replace(fresh_var=reusable[-1])
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
     # retranslation keeps its later rounds only where they pay; a compact
-    # proof fires only the four unit rules and contra, at most 20 mutants,
-    # so two proofs that fire all five pool their mutants
+    # proof fires only the four unit rules and contra, so two proofs that
+    # fire all five pool their mutants
     cases = {"retranslate": [(8, 5, 18, 3)], "compact": [(4, 6, 24, 2), (12, 13, 55, 3)]}
     warm = []
     for case in cases.get(mode, [(5, 4, 17, 3)]):
@@ -1178,7 +1193,7 @@ def test_checker_rejects_mutants_with_a_warm_shape_cache(mode, cold_shapes):
     for problem, summary, index, broken, verdict in warm:
         assert not verdict.accepted
         assert verdict.failing_step == index, (index, broken[index], verdict.reason)
-        # a mutant that equals its canonical instance reaches the cached shape
+        # a mutant whose premises fit its rule reaches the cached shape
         mutated_shape_hits += verdict.stats == {"truth_tables": 0, "shape_hits": index + 1}
         cold_shapes.clear()
         cold = check_proof(problem, broken, summary)
@@ -1227,10 +1242,49 @@ def test_checker_counts_truth_tables_and_shape_hits(cold_shapes):
     assert warm == cold  # the counts take no part in comparison
 
 
-def _reference_table_reason(step):
+def test_each_step_is_built_once_by_the_prover_and_once_by_the_checker(monkeypatch):
+    # saturate -> emit_proof -> parse_proof -> check_proof in every mode,
+    # counting the build_step calls of each phase: the prover builds each
+    # step it fires once, those of a dropped retranslate round included, the
+    # parser builds none, and the checker builds each logged step once
+    phase, builds, fired = None, Counter(), Counter()
+
+    def counted_build(*args):
+        builds[phase] += 1
+        return build_step(*args)
+
+    def counted_apply(*args):
+        fired[phase] += 1
+        return apply_rule(*args)
+
+    for module in (rules, prover, textio, checker):
+        if hasattr(module, "build_step"):
+            monkeypatch.setattr(module, "build_step", counted_build)
+    monkeypatch.setattr(prover, "apply_rule", counted_apply)
+    problem = compile_maxsat(parse_cnf(_random_wcnf(8, 5, 18, 3))).problem
+    for mode in MODES:
+        builds.clear()
+        fired.clear()
+        phase = "saturate"
+        summary, steps = saturate(problem, mode=mode)
+        phase = "emit_proof"
+        text = emit_proof(steps)
+        phase = "parse_proof"
+        parsed = parse_proof(text)
+        phase = "check_proof"
+        assert check_proof(problem, parsed, summary).accepted, mode
+        assert builds == {"saturate": fired["saturate"], "check_proof": len(steps)}, mode
+        assert fired == {"saturate": fired["saturate"]} and fired["saturate"] >= len(steps), mode
+        if mode == "retranslate":
+            # the third round did not pay and was dropped with its steps
+            assert (summary.rounds, len(summary.round_stats)) == (2, 3)
+            assert fired["saturate"] > len(steps)
+
+
+def _reference_table_reason(step, derived):
     """The step truth table by pure-Fraction enumeration in ``product`` order."""
-    before = [(p, step.weight) for p in step.premises]
-    after = [(c, step.weight * m) for c, m in step.conclusions + step.residues]
+    before = [(p, derived.weight) for p in step.premises]
+    after = [(c, derived.weight * m) for c, m in derived.conclusions + derived.residues]
     variables = set()
     for item, _ in before + after:
         variables.update(item.vars if isinstance(item, XorConstraint) else item.variables())
@@ -1240,7 +1294,7 @@ def _reference_table_reason(step):
         assignment = dict(zip(base, values))
         extended = [assignment] if fresh is None else [{**assignment, fresh: y} for y in (0, 1)]
         deltas = [unsat_weight(after, a) - unsat_weight(before, a) for a in extended]
-        offset = step.offset
+        offset = derived.offset
         if fresh is None and deltas[0] != offset:
             return f"unsatisfied weight changes by {deltas[0]} instead of {offset} at {assignment}"
         if fresh is not None and (min(deltas) != offset or any(d < offset for d in deltas)):
@@ -1248,9 +1302,13 @@ def _reference_table_reason(step):
     return None
 
 
+def _derived(rule, weight, premises, fresh):
+    return ProofStep(rule, weight, premises, fresh), build_step(rule, premises, weight, fresh)
+
+
 def _random_canonical_steps(rng):
-    """One canonical step of every rule, and of every literal sign pattern
-    for a clause premise, on random variables and weight."""
+    """One step of every rule, and of every literal sign pattern for a
+    clause premise, on random variables and weight, with its derivation."""
     x, a, b, y = rng.sample(range(1, 30), 4)
     weight = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
     for rule, spec in rules.RULES.items():
@@ -1258,7 +1316,7 @@ def _random_canonical_steps(rng):
         if spec.form == "clause":
             for signs in product((1, -1), repeat=spec.premise):
                 lits = [sign * v for sign, v in zip(signs, (x, a, b)[3 - spec.premise :])]
-                yield build_step(rule, (clause(*lits),), weight, fresh)
+                yield _derived(rule, weight, (clause(*lits),), fresh)
             continue
         par1, par2 = spec.premise
         if spec.form == "pairs":
@@ -1267,7 +1325,7 @@ def _random_canonical_steps(rng):
             premises = (xor([x], par1), xor([x, a], par2))
         else:
             premises = (xor([a, b], par1), xor([a, b], par2))
-        yield build_step(rule, premises, weight, fresh)
+        yield _derived(rule, weight, premises, fresh)
 
 
 def test_truth_table_matches_pure_fraction_enumeration():
@@ -1275,23 +1333,25 @@ def test_truth_table_matches_pure_fraction_enumeration():
     seen_rules, reasons = set(), set()
     shapes = {}  # (rule, literal signs of a clause premise) -> checker shapes
     for _ in range(12):
-        for step in _random_canonical_steps(rng):
+        for step, derived in _random_canonical_steps(rng):
             seen_rules.add(step.rule)
             signs = ()
             if rules.RULES[step.rule].form == "clause":
                 signs = tuple(l > 0 for l in step.premises[0].lits)
             shapes.setdefault((step.rule, signs), set()).add(checker._step_shape(step))
-            assert checker._truth_table_reason(step) is None is _reference_table_reason(step)
-            constraint, mult = step.conclusions[0]
+            assert checker._truth_table_reason(step, derived) is None
+            assert _reference_table_reason(step, derived) is None
+            constraint, mult = derived.conclusions[0]
             flipped = xor(constraint.vars, constraint.parity ^ 1)
             mutants = [
-                step._replace(conclusions=((flipped, mult),) + step.conclusions[1:]),
-                step._replace(offset=step.offset + H),
-                step._replace(conclusions=((constraint, 2 * mult),) + step.conclusions[1:]),
+                derived._replace(conclusions=((flipped, mult),) + derived.conclusions[1:]),
+                derived._replace(offset=derived.offset + H),
+                derived._replace(conclusions=((constraint, 2 * mult),) + derived.conclusions[1:]),
             ]
             for mutant in mutants:
-                reason = checker._truth_table_reason(mutant)
-                assert reason is not None and reason == _reference_table_reason(mutant), mutant
+                reason = checker._truth_table_reason(step, mutant)
+                assert reason is not None, mutant
+                assert reason == _reference_table_reason(step, mutant), mutant
                 reasons.add(reason.split(" ")[0])
     assert seen_rules == set(rules.RULES) and len(seen_rules) == 13
     assert reasons == {"unsatisfied", "fresh-variable"}
@@ -1315,7 +1375,7 @@ def test_checker_rejects_stale_fresh_variable():
     with pytest.raises(PatternError):
         build_step("compact00", (xor([1, 2], 0), xor([1, 3], 0)), F(1), fresh_var=2)
 
-    step = build_step("compact00", (xor([1, 2], 0), xor([1, 3], 0)), F(1), fresh_var=4)
+    step = ProofStep("compact00", F(1), (xor([1, 2], 0), xor([1, 3], 0)), fresh_var=4)
     # variable 4 already occurs elsewhere in the input, so it is not fresh
     verdict = check_proof(state_items + [(xor([4, 5], 1), F(1))], [step], None)
     assert not verdict.accepted
@@ -1323,7 +1383,7 @@ def test_checker_rejects_stale_fresh_variable():
     # variables 4 and 5 occur in no entry, but a problem declaring 5 owns them
     problem = X2XProblem(dict(state_items), var_count=5)
     for fresh in (4, 5, 6):
-        step = build_step("compact00", (xor([1, 2], 0), xor([1, 3], 0)), F(1), fresh_var=fresh)
+        step = ProofStep("compact00", F(1), (xor([1, 2], 0), xor([1, 3], 0)), fresh_var=fresh)
         verdict = check_proof(problem, [step])
         if fresh <= 5:
             assert (verdict.accepted, verdict.reason) == (False, f"variable {fresh} is not fresh")
@@ -1431,7 +1491,7 @@ def test_bound_to_original_provenance_check():
 
 def test_checker_replays_the_canonical_step():
     items = [(xor([1, 2], 0), H), (xor([1, 2], 1), F(2, 3))]
-    step = build_step("contra", (xor([1, 2], 0), xor([1, 2], 1)), H)._replace(weight=0.5)
+    step = ProofStep("contra", 0.5, (xor([1, 2], 0), xor([1, 2], 1)))
     verdict = check_proof(items, [step])
     assert verdict.accepted
     assert type(verdict.summary.bound_m) is Fraction and verdict.summary.bound_m == H

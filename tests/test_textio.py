@@ -452,13 +452,14 @@ def test_proof_contra_line_format():
 
 
 def test_proof_chain_residues_have_double_weight():
-    # the line names no residues; the parser derives both at weight 2w
+    # the line names no residues; its rule derives both at weight 2w
     items = [(xor([1, 2], 1), F(1)), (xor([2, 3], 1), F(1)), (xor([1, 3], 1), F(1))]
     _, steps = saturate(items)
     text = emit_proof(steps)
     assert text.splitlines()[0] == "s chain11 w 1/1 | 1 2 = 1; 2 3 = 1"
     assert parse_proof(text) == steps
-    assert [m for _, m in steps[0].residues] == [2, 2]
+    step = steps[0]
+    assert [m for _, m in build_step(step.rule, step.premises, step.weight).residues] == [2, 2]
 
 
 def test_proof_round_trip_random_engine_output():
@@ -487,10 +488,10 @@ def test_parse_proof_errors():
 
 
 def test_parse_proof_keeps_a_step_that_does_not_fit_its_rule():
-    # the premises' parities do not fit contra: the step comes back without
-    # conclusions, and the checker rejects it with build_step's reason
+    # the premises' parities do not fit contra: the step comes back as its
+    # line reads, and the checker rejects it with build_step's reason
     (step,) = parse_proof("s contra w 1/1 | 1 = 0; 1 = 0\n")
-    assert step == ProofStep("contra", F(1), (xor([1], 0), xor([1], 0)), ())
+    assert step == ProofStep("contra", F(1), (xor([1], 0), xor([1], 0)))
     verdict = check_proof([(xor([1], 0), F(1))], [step])
     assert (verdict.accepted, verdict.failing_step) == (False, 0)
     with pytest.raises(PatternError) as caught:
