@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from .checker import bound_to_original, check_proof
 from .core import Max2XorError, ParseError, ShapeError, clause, format_rational
@@ -93,16 +93,18 @@ def _load_shapes(path: str) -> Dict[int, TreeShape]:
     return shapes
 
 
-def _print_report(report, out) -> None:
-    print(f"shift {format_rational(report.shift)}", file=out)
-    print(f"threshold {format_rational(report.threshold)}", file=out)
+def _report_lines(report) -> List[str]:
+    lines = [
+        f"shift {format_rational(report.shift)}",
+        f"threshold {format_rational(report.threshold)}",
+    ]
     for k in sorted(report.params_per_arity):
         params = report.params_per_arity[k]
-        print(
+        lines.append(
             f"arity {k}: alpha={format_rational(params.alpha)} "
-            f"beta={format_rational(params.beta)} aux={params.aux_vars}",
-            file=out,
+            f"beta={format_rational(params.beta)} aux={params.aux_vars}"
         )
+    return lines
 
 
 def _cmd_compile(args, out) -> int:
@@ -110,9 +112,9 @@ def _cmd_compile(args, out) -> int:
     shapes = _load_shapes(args.shapes) if args.shapes else None
     report = compile_maxsat(instance, strategy=args.strategy, shapes=shapes)
     output = args.output or str(Path(args.input).with_suffix(".x2x"))
-    Path(output).write_text(emit_x2x(report.problem))
-    print(f"wrote {output}", file=out)
-    _print_report(report, out)
+    text, lines = emit_x2x(report.problem), _report_lines(report)
+    Path(output).write_text(text)
+    print("\n".join([f"wrote {output}", *lines]), file=out)
     return EXIT_OK
 
 
@@ -133,11 +135,11 @@ def _cmd_bound(args, out) -> int:
     else:
         problem = parse_x2x(text)
     summary, steps = saturate(problem, mode=mode, max_rounds=rounds)
-    Path(output).write_text(emit_proof(steps))
-    print(f"wrote {output}", file=out)
-    print(f"m {format_rational(summary.bound_m)}", file=out)
+    # every number is formatted before the proof is written or a line printed
+    proof = emit_proof(steps)
+    lines = [f"m {format_rational(summary.bound_m)}"]
     if report is not None:
-        print(f"shift {format_rational(report.shift)}", file=out)
+        lines.append(f"shift {format_rational(report.shift)}")
     if args.verbose:
         why = {summary.rounds + 1: " (dropped: bound did not rise)"}
         # ended before its round limit with residues left to translate and no round dropped
@@ -146,13 +148,17 @@ def _cmd_bound(args, out) -> int:
                 why[summary.rounds] = " (stopped: an assignment attains the bound)"
         for round_no, (budget, used) in enumerate(summary.round_stats, start=1):
             note = why.get(round_no, "")
-            print(f"round {round_no}: {used} steps over {budget} entries{note}", file=out)
+            lines.append(f"round {round_no}: {used} steps over {budget} entries{note}")
     if report is None:
-        print(f"UNKNOWN lb={format_rational(max(Fraction(0), summary.bound_m))}", file=out)
-        return EXIT_OK
-    verdict = bound_to_original(summary, report)
-    print(verdict.message, file=out)
-    return EXIT_UNSAT if verdict.unsat_proven else EXIT_OK
+        lines.append(f"UNKNOWN lb={format_rational(max(Fraction(0), summary.bound_m))}")
+        code = EXIT_OK
+    else:
+        verdict = bound_to_original(summary, report)
+        lines.append(verdict.message)
+        code = EXIT_UNSAT if verdict.unsat_proven else EXIT_OK
+    Path(output).write_text(proof)
+    print("\n".join([f"wrote {output}", *lines]), file=out)
+    return code
 
 
 def _cmd_check(args, out) -> int:
@@ -171,11 +177,11 @@ def _cmd_export_cut(args, out) -> int:
     problem = parse_x2x(_read(args.input))
     graph = to_maxcut(problem, variant=args.variant)
     output = args.output or str(Path(args.input).with_suffix(".cut"))
-    Path(output).write_text(emit_maxcut(graph))
-    print(f"wrote {output}", file=out)
-    print(f"nodes {graph.node_count} edges {len(graph.edges)}", file=out)
+    text, lines = emit_maxcut(graph), [f"nodes {graph.node_count} edges {len(graph.edges)}"]
     if problem.floor != 0:
-        print(f"floor {format_rational(problem.floor)} carried outside the graph", file=out)
+        lines.append(f"floor {format_rational(problem.floor)} carried outside the graph")
+    Path(output).write_text(text)
+    print("\n".join([f"wrote {output}", *lines]), file=out)
     return EXIT_OK
 
 
@@ -189,10 +195,13 @@ def _cmd_oracle(args, out) -> int:
         items = list(problem.sorted_entries())
         floor = problem.floor
     result = brute_opt_cost_items(items, floor=floor, max_vars=_oracle_guard())
-    print(f"opt {format_rational(result.opt)}", file=out)
-    print(f"cost {format_rational(result.cost)}", file=out)
     witness = " ".join(f"{v}={b}" for v, b in sorted(result.cost_witness.items()))
-    print(f"witness {witness}".rstrip(), file=out)
+    lines = [
+        f"opt {format_rational(result.opt)}",
+        f"cost {format_rational(result.cost)}",
+        f"witness {witness}".rstrip(),
+    ]
+    print("\n".join(lines), file=out)  # printed once every number is formatted
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -198,6 +197,12 @@ def clause(*lits: int) -> OrClause:
     return OrClause(tuple(sorted(lits, key=abs)))
 
 
+# ``_trusted(XorConstraint, (vars, parity))`` and ``_trusted(OrClause, (lits,))``
+# build a constraint or clause without the check in ``__new__``, for terms
+# that already passed it: each caller states why its terms are valid.
+_trusted = tuple.__new__
+
+
 class VarAllocator:
     """Serial fresh-variable source; ids strictly increase."""
 
@@ -282,7 +287,15 @@ def normalize(
 
 def _unit_fractions(scale: int) -> Callable[[int], Fraction]:
     """``Fraction(units, scale)`` by units, each value built once: make one per call."""
-    return lru_cache(maxsize=None)(lambda units: Fraction(units, scale))
+    memo: Dict[int, Fraction] = {}
+
+    def fraction(units: int) -> Fraction:
+        value = memo.get(units)
+        if value is None:
+            value = memo[units] = Fraction(units, scale)
+        return value
+
+    return fraction
 
 
 def _normalize_units(

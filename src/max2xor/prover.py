@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core import Max2XorError, VarAllocator, X2XProblem, XorConstraint, _unit_fractions
+from .core import Max2XorError, VarAllocator, X2XProblem, XorConstraint, _trusted, _unit_fractions
 from .rules import ProofStep, ProofState, ProofSummary, RawItems, _summarize, apply_rule, make_state
 
 
@@ -33,8 +33,8 @@ Cover = Dict[int, List[int]]  # double-cover key -> ascending neighbour keys
 def _cover_edges(constraint: XorConstraint):
     """Double-cover edges of a constraint on (u, v) at parity p: key ``2u + s``
     links to ``2v + (s ^ p)`` for both signs s, and the reverse."""
-    u, v = (CONSTANT_NODE, *constraint.vars) if constraint.arity == 1 else constraint.vars
-    p = constraint.parity
+    vars_, p = constraint
+    u, v = (CONSTANT_NODE, *vars_) if len(vars_) == 1 else vars_
     return (
         (2 * u, 2 * v + p),
         (2 * u + 1, 2 * v + (p ^ 1)),
@@ -56,13 +56,20 @@ class _CycleIndex:
     """
 
     def __init__(self, entries: Iterable[XorConstraint]):
-        self.cover: Cover = {}
+        self.cover: Cover = {}  # each neighbour list is filled, then sorted once
         self.opposite: Set[Tuple[int, ...]] = set()
-        self.sources: List[int] = []  # the vertices on an edge, ascending
-        self.added: List[XorConstraint] = []
+        parities: Dict[Tuple[int, ...], int] = {}  # a parity of each variable set seen
         for constraint in entries:
-            self.add(constraint)
-        self.added.clear()
+            vars_, parity = constraint
+            if vars_:
+                if parities.setdefault(vars_, parity) != parity:
+                    self.opposite.add(vars_)
+                for key, nbr in _cover_edges(constraint):
+                    self.cover.setdefault(key, []).append(nbr)
+        for nbrs in self.cover.values():
+            nbrs.sort()
+        self.sources = sorted([key >> 1 for key in self.cover if not key & 1])  # on an edge
+        self.added: List[XorConstraint] = []
         self.tri_from = CONSTANT_NODE
 
     def has(self, vars_: Tuple[int, ...], parity: int) -> bool:
@@ -206,11 +213,13 @@ def _odd_walk_length(
 
 
 def _edge_constraint(u: int, v: int, parity: int) -> XorConstraint:
+    """The constraint of a walk edge: its ends are distinct variables or the
+    constant node, as on the cover, so it is built unchecked."""
     if u == CONSTANT_NODE:
-        return XorConstraint((v,), parity)
+        return _trusted(XorConstraint, ((v,), parity))
     if v == CONSTANT_NODE:
-        return XorConstraint((u,), parity)
-    return XorConstraint(tuple(sorted((u, v))), parity)
+        return _trusted(XorConstraint, ((u,), parity))
+    return _trusted(XorConstraint, ((u, v) if u < v else (v, u), parity))
 
 
 def _triangle(cover: Cover, sources: Iterable[int]) -> Optional[List[Tuple[int, int, int]]]:
@@ -368,7 +377,7 @@ def _combine(acc: XorConstraint, edge: XorConstraint):
     first, second = (acc, edge) if acc.parity <= edge.parity else (edge, acc)
     if acc.vars == edge.vars:
         return "contra", (first, second)
-    if acc.arity == 1:
+    if len(acc.vars) == 1:
         return f"unit{acc.parity}{edge.parity}", (acc, edge)
     return f"chain{first.parity}{second.parity}", (first, second)
 
@@ -381,7 +390,7 @@ def _contract_cycle(
     fraction: Callable[[int], Fraction],
 ) -> int:
     units = state.entry_units
-    touched = list(cycle)  # and the accumulators: every premise and conclusion
+    accumulators = []  # with the cycle, every premise and conclusion
     acc = cycle[0]
     for edge in cycle[1:]:
         rule, premises = _combine(acc, edge)
@@ -389,8 +398,11 @@ def _contract_cycle(
         step, derived = apply_rule(state, rule, premises, weight)
         steps.append(step)
         acc = derived.conclusions[0][0]
-        touched.append(acc)
-    index.follow(touched, units)
+        accumulators.append(acc)
+    for edge in cycle:  # each on the index: it leaves if used up
+        if edge not in units:
+            index.discard(edge)
+    index.follow(accumulators, units)
     return len(cycle) - 1
 
 

@@ -43,6 +43,7 @@ from .core import (
     ZERO,
     _normalize_units,
     _scaled,
+    _trusted,
     _unit_fractions,
     check_weight,
     problem_key,
@@ -206,10 +207,6 @@ RULES: Dict[str, Rule] = {
 }
 
 
-def _other(premise: XorConstraint, x: int) -> int:
-    return premise.vars[0] if premise.vars[1] == x else premise.vars[1]
-
-
 def _premise_terms(rule: str, form: str, premises: Tuple[object, ...], expected) -> Tuple[int, ...]:
     """The premises' terms by role, once they fit the form and its parities or width."""
     if form == "clause":
@@ -233,20 +230,22 @@ def _premise_terms(rule: str, form: str, premises: Tuple[object, ...], expected)
             )
         return ()
     if form == "pairs":
-        if p1.arity != 2 or p2.arity != 2:
+        if len(p1[0]) != 2 or len(p2[0]) != 2:
             raise PatternError(f"{rule} premises must have two variables: {p1} / {p2}")
-        shared = set(p1.vars) & set(p2.vars)
-        if len(shared) != 1:
+        (u1, v1), (u2, v2) = p1[0], p2[0]  # each ascending
+        if (u1 == u2) != (v1 == v2):  # x at the same end of both
+            terms = (u1, v1, v2) if u1 == u2 else (v1, u1, u2)
+        elif u1 == v2 or v1 == u2:  # x at opposite ends
+            terms = (u1, v1, u2) if u1 == v2 else (v1, u1, v2)
+        else:
             raise PatternError(f"premises must share exactly one variable: {p1} / {p2}")
-        (x,) = shared
-        terms = (x, _other(p1, x), _other(p2, x))
     else:
-        if p1.arity != 1 or p2.arity != 2:
+        if len(p1[0]) != 1 or len(p2[0]) != 2:
             raise PatternError(f"{rule} premises must be a unit and a pair: {p1} / {p2}")
-        (x,) = p1.vars
-        if x not in p2.vars:
+        ((x,), (u, v)) = p1[0], p2[0]
+        if x != u and x != v:
             raise PatternError(f"{rule} premises must share the unit variable")
-        terms = (x, _other(p2, x))
+        terms = (x, v if x == u else u)
     if (p1.parity, p2.parity) != expected:
         raise PatternError(f"{rule} premises must have parities {expected[0]}/{expected[1]}")
     return terms
@@ -273,6 +272,11 @@ def build_step(
             where = "clause" if spec.form == "clause" else "premises"
             raise PatternError(f"fresh variable {fresh_var} occurs in the {where}")
         terms += (fresh_var,)
+    # The terms are checked: the premises are ``XorConstraint``/``OrClause``
+    # objects, whose variables are positive and distinct, the pattern makes the
+    # roles' variables distinct, and the fresh variable is checked positive and
+    # new to the premises.  So each conclusion and residue is valid once
+    # sorted, and is built without the check in ``__new__``.
     conclusions = []
     for roles, parity, multiplier in spec.conclusions:
         variables = []
@@ -283,11 +287,11 @@ def build_step(
                 lit = -lit
             variables.append(lit)
         variables.sort()
-        conclusions.append((XorConstraint(tuple(variables), parity), multiplier))
-    residues = [
-        (OrClause(tuple(sorted([sign * terms[role] for role, sign in lits], key=abs))), multiplier)
-        for lits, multiplier in spec.residues
-    ]
+        conclusions.append((_trusted(XorConstraint, (tuple(variables), parity)), multiplier))
+    residues = []
+    for lits, multiplier in spec.residues:
+        signed = sorted([sign * terms[role] for role, sign in lits], key=abs)
+        residues.append((_trusted(OrClause, (tuple(signed),)), multiplier))
     offset = weight * spec.offset if spec.offset else ZERO
     return Derivation(weight, tuple(conclusions), tuple(residues), offset)
 
@@ -298,7 +302,10 @@ def build_step(
 
 def _times(units: int, factor: Fraction, scale: int) -> int:
     """``units * factor``, which must be a whole number of units."""
-    product, rest = divmod(units * factor.numerator, factor.denominator)
+    num, den = factor.as_integer_ratio()
+    if den == 1:
+        return units * num
+    product, rest = divmod(units * num, den)
     if rest:
         raise RuleApplicationError(
             f"{Fraction(units, scale) * factor} is not a whole multiple of 1/{scale}"
@@ -319,8 +326,9 @@ def _replay_step(state: ProofState, step: ProofStep, derived: Derivation) -> Non
             raise RuleApplicationError(f"{step.rule} premise {premise} not present")
         if lightest is None or present < lightest:
             lightest = present
-    per, rest = divmod(scale, derived.weight.denominator)
-    weight = None if rest else derived.weight.numerator * per  # off the grid: no premise weight
+    num, den = derived.weight.as_integer_ratio()
+    per, rest = divmod(scale, den)
+    weight = None if rest else num * per  # off the grid: no premise weight
     if weight != lightest:
         raise RuleApplicationError(
             f"applied weight {derived.weight} must equal the lightest premise weight "

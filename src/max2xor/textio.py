@@ -378,43 +378,78 @@ def _premise_text(premise) -> str:
 
 
 def emit_proof(steps) -> str:
+    """The log of ``steps``.  Each weight object and each premise is formatted
+    once per call: weights by identity, kept alive in the memo, so no
+    ``Fraction`` is hashed; the prover's and the parser's steps share one
+    object per weight value."""
+    weight_texts: Dict[int, Tuple[Fraction, str]] = {}
+    premise_texts: Dict[object, str] = {}
     lines = []
-    for step in steps:
-        head = f"s {step.rule} w {format_rational(step.weight)}"
-        if step.fresh_var is not None:
-            head += f" y {step.fresh_var}"
-        lines.append(f"{head} | {'; '.join(map(_premise_text, step.premises))}")
+    for rule, weight, premises, fresh_var in steps:
+        known = weight_texts.get(id(weight))
+        if known is None:
+            known = weight_texts[id(weight)] = weight, format_rational(weight)
+        head = f"s {rule} w {known[1]}"
+        if fresh_var is not None:
+            head += f" y {fresh_var}"
+        texts = []
+        for premise in premises:
+            text = premise_texts.get(premise)
+            if text is None:
+                text = premise_texts[premise] = _premise_text(premise)
+            texts.append(text)
+        lines.append(f"{head} | {'; '.join(texts)}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _step_head(head: str, line_no: int, positive) -> Tuple[str, Fraction, Optional[int]]:
+    """The rule, applied weight and fresh variable of ``s <rule> w <weight> [y <fresh>]``."""
+    tokens = head.split()
+    if len(tokens) < 4 or tokens[0] != "s" or tokens[2] != "w":
+        raise ParseError(f"bad step head {head.strip()!r}", line_no)
+    rule = tokens[1]
+    if rule not in RULES:
+        raise ParseError(f"unknown rule id {rule!r}", line_no)
+    weight = positive(tokens[3], "applied weight", line_no)
+    fresh_var = None
+    for i in range(4, len(tokens), 2):
+        if tokens[i] != "y" or i + 1 == len(tokens):
+            raise ParseError(f"bad step head token {tokens[i]!r}", line_no)
+        if fresh_var is not None:
+            raise ParseError("repeated step head token 'y'", line_no)
+        fresh_var = _int(tokens[i + 1], "fresh variable", line_no)
+    return rule, weight, fresh_var
 
 
 def parse_proof(text: str):
     """The steps of a proof log, one per line, as the line records them.
 
     A line is read, not checked against its rule: ``check_proof`` rejects a
-    step whose premises do not fit it.
+    step whose premises do not fit it.  Each distinct head, weight token and
+    premise text is read once per call; only reads without error are kept,
+    so an error names the line it is on.
     """
-    positive = _positive_memo()  # each applied-weight token read once per call
+    positive = _positive_memo()
+    heads: Dict[str, Tuple[str, Fraction, Optional[int]]] = {}
+    read_premises = {_clause: {}, _constraint: {}}  # by reader
     steps = []
     for line_no, line in _records(text, ("c",)):
         head, *parts = line.split("|")
         if len(parts) != 1:
             raise ParseError("step line needs one '|' between its head and its premises", line_no)
-        tokens = head.split()
-        if len(tokens) < 4 or tokens[0] != "s" or tokens[2] != "w":
-            raise ParseError(f"bad step head {head.strip()!r}", line_no)
-        rule = tokens[1]
-        if rule not in RULES:
-            raise ParseError(f"unknown rule id {rule!r}", line_no)
-        weight = positive(tokens[3], "applied weight", line_no)
-        fresh_var = None
-        for i in range(4, len(tokens), 2):
-            if tokens[i] != "y" or i + 1 == len(tokens):
-                raise ParseError(f"bad step head token {tokens[i]!r}", line_no)
-            if fresh_var is not None:
-                raise ParseError("repeated step head token 'y'", line_no)
-            fresh_var = _int(tokens[i + 1], "fresh variable", line_no)
-
+        read_head = heads.get(head)
+        if read_head is None:
+            read_head = heads[head] = _step_head(head, line_no, positive)
+        rule, weight, fresh_var = read_head
         read = _clause if RULES[rule].form == "clause" else _constraint
-        premises = tuple([read(t, line_no) for t in map(str.split, parts[0].split(";")) if t])
-        steps.append(ProofStep(rule, weight, premises, fresh_var))
+        known, premises = read_premises[read], []
+        for piece in parts[0].split(";"):
+            premise = known.get(piece)
+            if premise is None:
+                tokens = piece.split()
+                if not tokens:
+                    continue
+                premise = known[piece] = read(tokens, line_no)
+            premises.append(premise)
+        steps.append(ProofStep(rule, weight, tuple(premises), fresh_var))
     return steps

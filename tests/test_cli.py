@@ -546,6 +546,28 @@ def test_rationals_over_the_digit_limit_are_errors(tmp_path, capsys):
         assert err == "error: cannot write a rational whose denominator has 7999 digits\n", argv
 
 
+def test_a_number_over_the_digit_limit_leaves_no_file_and_no_output(tmp_path, capsys):
+    # the floor's 7,999-digit denominator fails to format only after the
+    # proof and the cut graph are written: a command that exits 1 writes no
+    # file and prints nothing but its error line
+    tens, threes = "1" + "0" * 3999, "3" * 3999 + "7"
+    problem = tmp_path / "digits.x2x"
+    problem.write_text(
+        f"p x2x 2\n1/{tens} 1 = 0\n1/{tens} 1 = 1\n1/{threes} 2 = 0\n1/{threes} 2 = 1\n"
+    )
+    for argv, written in (
+        (("bound", str(problem), "-o", str(tmp_path / "digits.x2xproof")), "digits.x2xproof"),
+        (("export-cut", str(problem), "-o", str(tmp_path / "digits.cut")), "digits.cut"),
+        (("oracle", str(problem)), None),
+    ):
+        code, output = invoke(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR, argv
+        assert output == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert written is None or not (tmp_path / written).exists(), argv
+
+
 def test_bound_rejects_bad_round_counts(tmp_path, capsys):
     source = tmp_path / "contradiction.cnf"
     source.write_text("p cnf 1 2\n1 0\n-1 0\n")

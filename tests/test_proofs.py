@@ -965,6 +965,7 @@ def _assert_index_matches(index, state):
     rebuilt = _CycleIndex(state.entry_units)
     assert index.cover == rebuilt.cover
     assert index.opposite == rebuilt.opposite
+    assert index.sources == rebuilt.sources
 
 
 @pytest.mark.parametrize("case,mode", sorted(PROOF_LOG_DIGESTS), ids=str)

@@ -1,10 +1,12 @@
 """Format round trips and parser error behaviour."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from max2xor import textio
 from max2xor.core import (
     Max2XorError,
     OrClause,
@@ -485,6 +487,41 @@ def test_parse_proof_errors():
     with pytest.raises(ParseError):
         parse_proof("s contra w 1/1 1 = 0; 1 = 1\n")
     assert parse_proof("c comment only\n") == []
+
+
+def test_parse_proof_reads_each_premise_text_once_and_reports_a_bad_one_at_its_line(monkeypatch):
+    # six premises, four distinct texts: each text is read once and its
+    # steps share the premise it reads as
+    reads, constraint = Counter(), textio._constraint
+
+    def counted(tokens, line_no):
+        reads[" ".join(tokens)] += 1
+        return constraint(tokens, line_no)
+
+    monkeypatch.setattr(textio, "_constraint", counted)
+    steps = parse_proof(
+        "s chain00 w 1/1 | 1 2 = 0; 2 3 = 0\n"
+        "s chain00 w 1/1 | 1 2 = 0; 2 4 = 0\n"
+        "c a comment\n"
+        "s unit00 w 1/2 | 1 = 0; 1 2 = 0\n"
+    )
+    assert reads == {"1 2 = 0": 1, "2 3 = 0": 1, "2 4 = 0": 1, "1 = 0": 1}
+    assert steps[0].premises[0] is steps[1].premises[0] is steps[2].premises[1]
+    assert steps[2] == ProofStep("unit00", F(1, 2), (xor([1], 0), xor([1, 2], 0)))
+    monkeypatch.undo()
+
+    # a bad premise is reported at the first line it is on, however often a
+    # good one repeats before it; a text that reads as a clause premise is
+    # still read, and rejected, as a parity premise
+    good = "s contra w 1/1 | 1 = 0; 1 = 1\n"
+    for text, message in (
+        (good * 2 + "s contra w 1/1 | 1 = 0; 1 x = 1\n" * 2, "line 3: bad variable 'x'"),
+        ("s xlate2 w 1/1 | 1 2 0\ns contra w 1/1 | 1 2 0; 1 = 1\n",
+         "line 2: entry line must end with '= <parity>'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_proof(text)
+        assert str(err.value) == message
 
 
 def test_parse_proof_keeps_a_step_that_does_not_fit_its_rule():
